@@ -739,3 +739,61 @@ func BenchmarkAutotune(b *testing.B) {
 	}
 	b.ReportMetric(cheapest.Measured, "sim-best-cycles-op")
 }
+
+// --- Boot: what one build.NewWorld costs the host -------------------
+
+// bootImages are the images the repository benchmark (perfbench) boots:
+// the redis-mix and iperf-bulk configurations, and the most hardened
+// design-sweep candidate (the head of the vm-rpc Pareto front: one
+// compartment, four ASAN-hardened libraries).
+func bootImages(b *testing.B) []build.Config {
+	b.Helper()
+	redisMix := build.Config{
+		Name:         "redis-mix",
+		Backend:      gate.MPKSwitched,
+		Compartments: build.NWSchedRest(),
+		Alloc:        build.AllocPerCompartment,
+		Smp:          2,
+	}
+	redisMix.Net.SocketMode = flexnet.DirectMode
+	iperfBulk := build.Config{
+		Name:         "iperf-bulk",
+		Backend:      gate.MPKShared,
+		Compartments: build.NWOnly(),
+		Alloc:        build.AllocPerCompartment,
+		DataPath:     flexnet.DataPathShared,
+	}
+	iperfBulk.Net.SocketMode = flexnet.TCPIPThreadMode
+	cands, err := explore.Explore(spec.DefaultImage(), gate.VMRPC, explore.DefaultWorkload())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep, err := harness.CandidateConfig(explore.ParetoFront(cands)[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep.Name = "design-sweep"
+	return []build.Config{redisMix, iperfBulk, sweep}
+}
+
+// BenchmarkBoot measures booting each perfbench image: host time and
+// allocations per build.NewWorld, and sim-touched-pages, the arena
+// pages both machines have zeroed by the end of the boot. Arenas are
+// zeroed on first touch, so that count is the boot's whole share of
+// the clearing an eagerly zeroed arena would do up front.
+func BenchmarkBoot(b *testing.B) {
+	for _, cfg := range bootImages(b) {
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var touched int
+			for i := 0; i < b.N; i++ {
+				w, err := build.NewWorld(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				touched = w.Server.Arena.TouchedPages() + w.Client.Arena.TouchedPages()
+			}
+			b.ReportMetric(float64(touched), "sim-touched-pages")
+		})
+	}
+}

@@ -15,7 +15,7 @@
 //
 // Without -input it runs
 //
-//	go test -run=NONE -bench='^(BenchmarkExplore|BenchmarkFig3DataPath|BenchmarkOverload|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkBatching|BenchmarkSmp|BenchmarkChaosnet|BenchmarkAutotune)$' -benchtime=1x -count=3 .
+//	go test -run=NONE -bench='^(BenchmarkExplore|BenchmarkFig3DataPath|BenchmarkOverload|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkBatching|BenchmarkSmp|BenchmarkChaosnet|BenchmarkAutotune|BenchmarkBoot)$' -benchtime=1x -count=3 .
 //
 // in the current directory. With -input it checks a saved `go test
 // -bench` output instead — which is also how the gate itself is
@@ -24,7 +24,9 @@
 // Baselines carry per-entry tolerances: simulator metrics (sim-Mbps,
 // cache-hit-%) are deterministic and get the tight default, while
 // wall-clock ns/op entries get a wide one because single-iteration
-// wall time on shared CI runners is noisy.
+// wall time on shared CI runners is noisy. An entry is one-sided
+// (direction "lower" or "higher": only a move the wrong way fails),
+// except that a zero baseline must stay exactly zero.
 package main
 
 import (
@@ -132,19 +134,7 @@ func main() {
 				continue
 			}
 			r.Median = med
-			var delta float64
-			var regressed bool
-			if c.Value == 0 {
-				// A zero baseline (e.g. copy-cycles on the shared data
-				// path) must stay zero.
-				regressed = med != 0
-			} else {
-				delta = 100 * (med - c.Value) / c.Value
-				regressed = delta > tol // lower-is-better: growth is regression
-				if c.Direction == "higher" {
-					regressed = delta < -tol
-				}
-			}
+			delta, regressed := compare(c, med, tol)
 			r.DeltaPct = delta
 			status := "ok"
 			if regressed {
@@ -170,6 +160,23 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: all metrics within tolerance")
+}
+
+// compare returns med's change from c's baseline in percent and
+// whether that change fails the check at tolerance tol.
+func compare(c check, med, tol float64) (deltaPct float64, regressed bool) {
+	if c.Value == 0 {
+		// A zero baseline (e.g. copy-cycles on the shared data path)
+		// must stay zero.
+		return 0, med != 0
+	}
+	delta := 100 * (med - c.Value) / c.Value
+	switch c.Direction {
+	case "higher":
+		return delta, delta < -tol
+	default: // lower-is-better: growth is regression
+		return delta, delta > tol
+	}
 }
 
 // writeJSON writes the machine-readable comparison.
@@ -237,12 +244,21 @@ func loadBaseline(path string) (*baseline, error) {
 	if base.ThresholdPct <= 0 {
 		base.ThresholdPct = 25
 	}
+	for name, checks := range base.Entries {
+		for _, c := range checks {
+			switch c.Direction {
+			case "lower", "higher":
+			default:
+				return nil, fmt.Errorf("%s: %s %s: unknown direction %q", path, name, c.Metric, c.Direction)
+			}
+		}
+	}
 	return &base, nil
 }
 
 func runBenches(count int) (string, error) {
 	cmd := exec.Command("go", "test", "-run=NONE",
-		"-bench=^(BenchmarkExplore|BenchmarkFig3DataPath|BenchmarkOverload|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkBatching|BenchmarkSmp|BenchmarkChaosnet|BenchmarkAutotune)$",
+		"-bench=^(BenchmarkExplore|BenchmarkFig3DataPath|BenchmarkOverload|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkBatching|BenchmarkSmp|BenchmarkChaosnet|BenchmarkAutotune|BenchmarkBoot)$",
 		"-benchtime=1x", fmt.Sprintf("-count=%d", count), ".")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

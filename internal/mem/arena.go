@@ -12,11 +12,19 @@
 // coalescing free lists. FlexOS images can instantiate one heap per
 // compartment (required by the VM backend, and the key to cheap
 // software hardening in Fig. 4) or a single shared heap.
+//
+// Arena memory is zeroed on first touch rather than at allocation: a
+// machine's RAM is 6-16 MiB, of which a run touches a few pages, and
+// clearing all of it dominated boot time. Bytes is the only path to
+// the backing store, and it clears every page of the range it returns
+// the first time that page is handed out, so every observable byte is
+// exactly what an eagerly zeroed arena would hold.
 package mem
 
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // PageSize is the page granularity of protection-key tagging.
@@ -49,21 +57,43 @@ var (
 
 // Arena is the simulated physical memory plus its page table.
 type Arena struct {
-	data []byte
-	keys []Key // one per page
+	data   []byte // not cleared at allocation; see Bytes
+	keys   []Key  // one per page
+	zeroed []bool // zeroed[p] is set once page p has been cleared
+}
+
+// mallocgc is the runtime's allocator. Called with a nil type and
+// needzero=false it returns pointer-free memory without clearing it,
+// which is what lets an arena skip the eager clear that make([]byte)
+// performs; Bytes clears each page before its first use instead. The
+// symbol is on the runtime's list of linknames that widely used
+// packages depend on (the "hall of shame" comment in runtime/malloc.go)
+// and has been kept accessible since Go 1.23. Should a future Go drop
+// it, the fallback is a newBacking that returns make([]byte, n): the
+// arena stays correct (Bytes then clears already-zero pages) and boots
+// pay the eager clear again.
+//
+//go:linkname mallocgc runtime.mallocgc
+func mallocgc(size uintptr, typ unsafe.Pointer, needzero bool) unsafe.Pointer
+
+// newBacking returns n bytes of uncleared, pointer-free memory.
+func newBacking(n int) []byte {
+	return unsafe.Slice((*byte)(mallocgc(uintptr(n), nil, false)), n)
 }
 
 // NewArena allocates an arena of the given size, rounded up to a whole
 // number of pages. The first page is reserved (never handed out) so
-// that address 0 stays invalid.
+// that address 0 stays invalid. No page is cleared until Bytes first
+// hands it out.
 func NewArena(size int) *Arena {
 	pages := (size + PageSize - 1) / PageSize
 	if pages < 2 {
 		pages = 2
 	}
 	return &Arena{
-		data: make([]byte, pages*PageSize),
-		keys: make([]Key, pages),
+		data:   newBacking(pages * PageSize),
+		keys:   make([]Key, pages),
+		zeroed: make([]bool, pages),
 	}
 }
 
@@ -73,23 +103,69 @@ func (a *Arena) Size() int { return len(a.data) }
 // Pages reports the number of pages in the arena.
 func (a *Arena) Pages() int { return len(a.keys) }
 
-// Contains reports whether [addr, addr+n) lies inside the arena.
-func (a *Arena) Contains(addr Addr, n int) bool {
-	if n < 0 {
-		return false
+// TouchedPages reports how many pages Bytes has cleared so far: the
+// part of the arena a run has actually used.
+func (a *Arena) TouchedPages() int {
+	n := 0
+	for _, z := range a.zeroed {
+		if z {
+			n++
+		}
 	}
-	end := uint64(addr) + uint64(n)
-	return addr > 0 && end <= uint64(len(a.data))
+	return n
+}
+
+// Contains reports whether [addr, addr+n) lies inside the arena. The
+// comparison never forms addr+n, so it cannot wrap; an empty range at
+// the very end of the arena is inside.
+func (a *Arena) Contains(addr Addr, n int) bool {
+	size := uint64(len(a.data))
+	return addr > 0 && n >= 0 && uint64(addr) <= size && uint64(n) <= size-uint64(addr)
 }
 
 // Bytes returns the backing slice for [addr, addr+n) without any
 // protection check. Isolation-aware accesses must go through an
 // mpk.View; Bytes is for trusted infrastructure (devices, loaders).
+//
+// Bytes is the only accessor of the backing store. It clears each page
+// of the range the first time it hands that page out, and caps the
+// slice at the range's end so no caller can reach a page that is not
+// cleared yet. A non-empty range of at most a page whose pages are
+// already cleared takes an inlined fast path.
 func (a *Arena) Bytes(addr Addr, n int) ([]byte, error) {
+	if a.cleared(addr, n) {
+		return a.data[addr : addr+Addr(n) : addr+Addr(n)], nil
+	}
+	return a.bytesSlow(addr, n)
+}
+
+// cleared reports whether 0 < n <= PageSize, [addr, addr+n) lies in
+// the arena and both pages it can overlap are cleared. first is tested
+// before last is formed, so addr+n-1 cannot wrap.
+func (a *Arena) cleared(addr Addr, n int) bool {
+	first := uint64(addr) / PageSize
+	if addr == 0 || uint(n-1) >= PageSize || first >= uint64(len(a.zeroed)) || !a.zeroed[first] {
+		return false
+	}
+	last := (uint64(addr) + uint64(n) - 1) / PageSize
+	return last < uint64(len(a.zeroed)) && a.zeroed[last]
+}
+
+// bytesSlow is Bytes for ranges the fast path does not cover: it
+// checks the range and clears the pages not cleared yet.
+func (a *Arena) bytesSlow(addr Addr, n int) ([]byte, error) {
 	if !a.Contains(addr, n) {
 		return nil, fmt.Errorf("%w: [%#x,+%d)", ErrBadAddress, addr, n)
 	}
-	return a.data[addr : uint64(addr)+uint64(n)], nil
+	if n > 0 {
+		for p := int(addr) / PageSize; p <= (int(addr)+n-1)/PageSize; p++ {
+			if !a.zeroed[p] {
+				clear(a.data[p*PageSize : (p+1)*PageSize])
+				a.zeroed[p] = true
+			}
+		}
+	}
+	return a.data[addr : addr+Addr(n) : addr+Addr(n)], nil
 }
 
 // KeyAt reports the protection key of the page containing addr.

@@ -67,7 +67,7 @@ var ErrNotInstrumented = errors.New("sh/asan: free of non-instrumented pointer")
 type ASAN struct {
 	arena  *mem.Arena
 	cpu    clock.Clock
-	shadow []byte
+	shadow *mem.Arena // byte i shadows arena byte i; nil until first poison
 	checks uint64
 	caught uint64
 }
@@ -80,18 +80,29 @@ func NewASAN(a *mem.Arena, cpu clock.Clock) *ASAN {
 	return &ASAN{arena: a, cpu: cpu}
 }
 
-// ensureShadow materializes the shadow map.
+// ensureShadow materializes the shadow map. It is itself a mem.Arena,
+// so each shadow page is zeroed (unpoisoned) the first time it is
+// used rather than all at once here.
 func (s *ASAN) ensureShadow() {
 	if s.shadow == nil {
-		s.shadow = make([]byte, s.arena.Size())
+		s.shadow = mem.NewArena(s.arena.Size())
 	}
 }
 
-// Poison marks [addr, addr+n) with the given poison code.
+// Poison marks [addr, addr+n) with the given poison code. n <= 0 is a
+// no-op. The range comes from the instrumented allocator and always
+// lies in the arena, so a bad one is a simulator bug.
 func (s *ASAN) poison(addr mem.Addr, n int, code byte) {
+	if n <= 0 {
+		return
+	}
 	s.ensureShadow()
-	for i := 0; i < n; i++ {
-		s.shadow[int(addr)+i] = code
+	b, err := s.shadow.Bytes(addr, n)
+	if err != nil {
+		panic(err)
+	}
+	for i := range b {
+		b[i] = code
 	}
 }
 
@@ -117,8 +128,10 @@ func (s *ASAN) Check(comp clock.Component, addr mem.Addr, n int, write bool) err
 	if s.shadow == nil {
 		return nil // nothing ever poisoned
 	}
-	for i := 0; i < n; i++ {
-		switch s.shadow[int(addr)+i] {
+	// Same size as the arena, so the range is inside the shadow too.
+	b, _ := s.shadow.Bytes(addr, n)
+	for i, code := range b {
+		switch code {
 		case shadowOK:
 		case shadowFreed:
 			s.caught++

@@ -2,6 +2,7 @@ package sh
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,97 @@ func TestASANCostCharged(t *testing.T) {
 	want := clock.ASANCheckCycles(64)
 	if got := cpu.Component(clock.CompSH) - before; got != want {
 		t.Fatalf("check charge = %d, want %d", got, want)
+	}
+}
+
+// dirtyHeap leaves freed, 0xFF-filled spans of the given size in the
+// Go heap, so that an uncleared shadow of that size is likely to start
+// out as recycled garbage, which Check would report as poison.
+func dirtyHeap(size int) {
+	for i := 0; i < 4; i++ {
+		b := make([]byte, size)
+		for j := range b {
+			b[j] = 0xFF
+		}
+		runtime.KeepAlive(b)
+	}
+	runtime.GC()
+}
+
+// The shadow is a lazily zeroed arena. A redzone or a freed block whose
+// shadow page no earlier poison touched is still caught, and untouched
+// shadow reads as addressable whatever the Go heap held before.
+func TestASANFreshShadowPages(t *testing.T) {
+	dirtyHeap(64 * mem.PageSize)
+	asan, alloc, _ := newASANHeap(t)
+	if err := asan.Check(clock.CompApp, 40*mem.PageSize, 64, false); err != nil {
+		t.Fatalf("check before any poison: %v", err)
+	}
+	small, err := alloc.Alloc(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := asan.shadow.TouchedPages()
+	// Never-poisoned memory on a shadow page nothing has touched.
+	if err := asan.Check(clock.CompApp, 30*mem.PageSize+8, 2*mem.PageSize, true); err != nil {
+		t.Fatalf("clean access on fresh shadow pages reported: %v", err)
+	}
+	if asan.shadow.TouchedPages() != fresh+3 {
+		t.Fatalf("a check across 3 fresh pages touched %d", asan.shadow.TouchedPages()-fresh)
+	}
+	fresh = asan.shadow.TouchedPages()
+	// big runs from the small block's page across two fresh ones; its
+	// right redzone is on the last of them.
+	big, err := alloc.Alloc(2 * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := asan.shadow.TouchedPages() - fresh; got != 2 {
+		t.Fatalf("allocation touched %d fresh shadow pages, want 2", got)
+	}
+	var v *Violation
+	end := big + 2*mem.PageSize
+	if err := asan.Check(clock.CompApp, end-8, 9, true); !errors.As(err, &v) || v.Kind != "heap-buffer-overflow" || v.Addr != end {
+		t.Fatalf("overflow into fresh-page redzone: err = %v", err)
+	}
+	if err := alloc.Free(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := asan.Check(clock.CompApp, end-16, 8, false); !errors.As(err, &v) || v.Kind != "use-after-free" {
+		t.Fatalf("use-after-free on fresh page: err = %v", err)
+	}
+	if err := asan.Check(clock.CompApp, small, 100, false); err != nil {
+		t.Fatalf("neighbouring live block reported: %v", err)
+	}
+}
+
+// n <= 0 poisons nothing and checks nothing, and never materializes or
+// touches the shadow.
+func TestASANEmptyRangeNoOp(t *testing.T) {
+	asan, alloc, _ := newASANHeap(t)
+	asan.poison(mem.PageSize, 0, shadowRedzone)
+	asan.poison(mem.PageSize, -5, shadowRedzone)
+	if asan.shadow != nil {
+		t.Fatal("an empty poison materialized the shadow")
+	}
+	if err := asan.Check(clock.CompApp, mem.PageSize, 0, false); err != nil {
+		t.Fatalf("empty check before any poison: %v", err)
+	}
+	p, err := alloc.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := asan.shadow.TouchedPages()
+	asan.poison(20*mem.PageSize, 0, shadowFreed)
+	asan.unpoison(p-1, 0) // would clear a redzone byte if it wrote
+	if asan.shadow.TouchedPages() != touched {
+		t.Fatal("an empty poison touched a shadow page")
+	}
+	if err := asan.Check(clock.CompApp, p-1, 0, false); err != nil {
+		t.Fatalf("empty check on a redzone: %v", err)
+	}
+	if err := asan.Check(clock.CompApp, p-1, 1, false); err == nil {
+		t.Fatal("redzone lost after empty unpoison")
 	}
 }
 
