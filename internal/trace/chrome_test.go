@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // goldenEvents is a fixed event stream covering both vCPU rows, empty
 // and populated From/To, and a note payload.
@@ -26,6 +29,12 @@ func TestExportChromeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_golden.json")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("missing golden file (regenerate with go test -run TestExportChromeGolden -update): %v", err)
