@@ -461,6 +461,7 @@ func BenchmarkGateCallBatch(b *testing.B) {
 // pins: depth-16 iperf throughput per backend and its gain over the
 // unbatched image.
 func BenchmarkBatching(b *testing.B) {
+	b.ReportAllocs()
 	var res *harness.BatchingResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -620,6 +621,7 @@ func BenchmarkExplore(b *testing.B) {
 // (iperf and redis), the oblivious baseline it must beat, and the
 // breaker's half-open re-close count.
 func BenchmarkOverload(b *testing.B) {
+	b.ReportAllocs()
 	var res *harness.OverloadResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -649,6 +651,7 @@ func BenchmarkOverload(b *testing.B) {
 // fault schedule is a seeded PRNG on the virtual clock, so every
 // metric is exactly reproducible.
 func BenchmarkChaosnet(b *testing.B) {
+	b.ReportAllocs()
 	var res *harness.ChaosnetResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -718,6 +721,7 @@ func BenchmarkParetoFront(b *testing.B) {
 // reproducible; the gate pins the sweep's shape (points, boots, memo
 // hits) and the post-calibration model quality.
 func BenchmarkAutotune(b *testing.B) {
+	b.ReportAllocs()
 	var res *harness.AutotuneResult
 	for i := 0; i < b.N; i++ {
 		var err error

@@ -16,6 +16,7 @@ import (
 // throughput and speedup per backend, and the VM-RPC serialization
 // share.
 func BenchmarkSmp(b *testing.B) {
+	b.ReportAllocs()
 	var res *harness.SmpResult
 	for i := 0; i < b.N; i++ {
 		var err error
