@@ -25,6 +25,15 @@ import (
 // sim-kreq/s, sim-ns/switch); ns/op is the host cost of running the
 // simulation and is not a paper metric.
 
+// runIperf and runRedis drive one measured run through harness.Run.
+func runIperf(cfg build.Config, total, recvBuf int) (*harness.Result, error) {
+	return harness.Run(harness.Scenario{Config: cfg, Workload: harness.Iperf{Bytes: total, RecvBuf: recvBuf}})
+}
+
+func runRedis(cfg build.Config, load harness.Redis) (*harness.Result, error) {
+	return harness.Run(harness.Scenario{Config: cfg, Workload: load})
+}
+
 // --- Fig. 3: iperf throughput across isolation mechanisms ------------
 
 func fig3Bench(b *testing.B, cfg build.Config, recvBuf int) {
@@ -32,11 +41,11 @@ func fig3Bench(b *testing.B, cfg build.Config, recvBuf int) {
 	const total = 512 << 10
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		r, err := harness.RunIperf(cfg, total, recvBuf)
+		r, err := runIperf(cfg, total, recvBuf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mbps = r.Gbps * 1000
+		mbps = r.Gbps() * 1000
 	}
 	b.ReportMetric(mbps, "sim-Mbps")
 }
@@ -75,11 +84,11 @@ func BenchmarkFig3DataPath(b *testing.B) {
 			var mbps float64
 			var copyCycles uint64
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(dataPathConfig(dp), total, recvBuf)
+				r, err := runIperf(dataPathConfig(dp), total, recvBuf)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mbps = r.Gbps * 1000
+				mbps = r.Gbps() * 1000
 				copyCycles = r.ByComponent[clock.CompCopy]
 			}
 			b.ReportMetric(mbps, "sim-Mbps")
@@ -94,11 +103,11 @@ func BenchmarkFig3DataPath(b *testing.B) {
 // to clock.CompCopy, and the pool leaks nothing on either machine.
 func TestDataPathSpeedup(t *testing.T) {
 	const total, recvBuf = 2 << 20, 16 << 10
-	shared, err := harness.RunIperf(dataPathConfig(flexnet.DataPathShared), total, recvBuf)
+	shared, err := runIperf(dataPathConfig(flexnet.DataPathShared), total, recvBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copied, err := harness.RunIperf(dataPathConfig(flexnet.DataPathCopy), total, recvBuf)
+	copied, err := runIperf(dataPathConfig(flexnet.DataPathCopy), total, recvBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +118,15 @@ func TestDataPathSpeedup(t *testing.T) {
 	if copyCycles == 0 {
 		t.Error("copy data path charged no copy cycles")
 	}
-	if diff := copied.ServerCycles - shared.ServerCycles; diff != copyCycles {
+	if diff := copied.Cycles - shared.Cycles; diff != copyCycles {
 		t.Errorf("cycle delta %d not fully attributed to %s (%d)", diff, clock.CompCopy, copyCycles)
 	}
-	speedup := (shared.Gbps/copied.Gbps - 1) * 100
+	speedup := (shared.Gbps()/copied.Gbps() - 1) * 100
 	if speedup < 20 {
 		t.Errorf("shared data path %.1f%% faster than copy, want >= 20%%", speedup)
 	}
 	t.Logf("shared %.2f Gb/s vs copy %.2f Gb/s: +%.1f%%, %d copy cycles",
-		shared.Gbps, copied.Gbps, speedup, copyCycles)
+		shared.Gbps(), copied.Gbps(), speedup, copyCycles)
 
 	// The harness fails a run on pool leaks; assert the accounting
 	// directly on a world as well.
@@ -154,11 +163,11 @@ func BenchmarkTable1(b *testing.B) {
 			cfg := build.Config{Alloc: build.AllocPerLibrary, SH: sh}
 			var gbps float64
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(cfg, 512<<10, 8<<10)
+				r, err := runIperf(cfg, 512<<10, 8<<10)
 				if err != nil {
 					b.Fatal(err)
 				}
-				gbps = r.Gbps
+				gbps = r.Gbps()
 			}
 			b.ReportMetric(gbps*1000, "sim-Mbps")
 		})
@@ -180,11 +189,11 @@ func BenchmarkFig4(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%s/%dB", cfg.Name, op, payload), func(b *testing.B) {
 					var kreq float64
 					for i := 0; i < b.N; i++ {
-						r, err := harness.RunRedis(cfg, op, payload, 96)
+						r, err := runRedis(cfg, harness.Redis{Op: op, Payload: payload, Ops: 96})
 						if err != nil {
 							b.Fatal(err)
 						}
-						kreq = r.KReqPerSec
+						kreq = r.KReqPerSec()
 					}
 					b.ReportMetric(kreq, "sim-kreq/s")
 				})
@@ -221,11 +230,11 @@ func BenchmarkFig5(b *testing.B) {
 				}
 				var kreq float64
 				for i := 0; i < b.N; i++ {
-					r, err := harness.RunRedis(cfg, harness.OpGET, 50, 96)
+					r, err := runRedis(cfg, harness.Redis{Op: harness.OpGET, Payload: 50, Ops: 96})
 					if err != nil {
 						b.Fatal(err)
 					}
-					kreq = r.KReqPerSec
+					kreq = r.KReqPerSec()
 				}
 				b.ReportMetric(kreq, "sim-kreq/s")
 			})
@@ -275,11 +284,11 @@ func BenchmarkAblationSealPolicy(b *testing.B) {
 				Alloc: build.AllocPerCompartment, Seal: pol}
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(cfg, 512<<10, 1024)
+				r, err := runIperf(cfg, 512<<10, 1024)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mbps = r.Gbps * 1000
+				mbps = r.Gbps() * 1000
 			}
 			b.ReportMetric(mbps, "sim-Mbps")
 		})
@@ -294,11 +303,11 @@ func BenchmarkAblationAllocatorPolicy(b *testing.B) {
 			cfg := build.Config{SH: map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}, Alloc: pol}
 			var kreq float64
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunRedis(cfg, harness.OpSET, 50, 96)
+				r, err := runRedis(cfg, harness.Redis{Op: harness.OpSET, Payload: 50, Ops: 96})
 				if err != nil {
 					b.Fatal(err)
 				}
-				kreq = r.KReqPerSec
+				kreq = r.KReqPerSec()
 			}
 			b.ReportMetric(kreq, "sim-kreq/s")
 		})
@@ -491,7 +500,7 @@ func BenchmarkBatching(b *testing.B) {
 // for by the crossing-bearing components (gate entry, VMM notify, the
 // netstack's per-segment work, the NIC driver) — batching amortizes
 // crossings, it does not skip work. Pool-leak accounting is enforced
-// inside every RunIperf the sweep performs.
+// inside every run the sweep performs.
 func TestBatchingSpeedup(t *testing.T) {
 	res, err := harness.Batching(true)
 	if err != nil {
@@ -549,11 +558,11 @@ func BenchmarkAblationDelayedAck(b *testing.B) {
 			cfg.Net.DelayedAck = delayed
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(cfg, 512<<10, 8<<10)
+				r, err := runIperf(cfg, 512<<10, 8<<10)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mbps = r.Gbps * 1000
+				mbps = r.Gbps() * 1000
 			}
 			b.ReportMetric(mbps, "sim-Mbps")
 		})
@@ -567,11 +576,12 @@ func BenchmarkAblationSocketMode(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var kreq float64
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunRedisWithMode(build.Config{}, harness.OpGET, 50, 96, mode)
+				r, err := runRedis(build.Config{}, harness.Redis{Op: harness.OpGET, Payload: 50, Ops: 96,
+					DirectSockets: mode == flexnet.DirectMode})
 				if err != nil {
 					b.Fatal(err)
 				}
-				kreq = r.KReqPerSec
+				kreq = r.KReqPerSec()
 			}
 			b.ReportMetric(kreq, "sim-kreq/s")
 		})

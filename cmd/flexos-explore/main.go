@@ -99,20 +99,17 @@ func run(specPath, backendName string, budget float64, require string, pareto, m
 		show = sorted
 		fmt.Printf("%d candidates (backend %v), cheapest first:\n", len(cands), backend)
 	}
-	measured := map[*explore.Candidate]harness.MeasuredCandidate{}
+	var measured []harness.AutotunePoint
 	if measure {
-		ms, err := harness.MeasureCandidates(show, harness.OpGET, 50, 240)
-		if err != nil {
+		if measured, err = harness.Measure(show, harness.AutotuneOpts{Ops: 240, Payload: 50, Workers: workers}); err != nil {
 			return err
 		}
-		for _, m := range ms {
-			measured[m.Candidate] = m
-		}
 	}
-	for _, c := range show {
-		if m, ok := measured[c]; ok {
+	for i, c := range show {
+		if measured != nil {
+			m := measured[i]
 			fmt.Printf("  est %6.2fx  measured %6.2fx (%7.1f kreq/s)  %s\n",
-				c.Slowdown(w), m.Slowdown, m.KReqPerSec, c.Describe())
+				c.Slowdown(w), measured[0].KReqPerSec/m.KReqPerSec, m.KReqPerSec, c.Describe())
 			continue
 		}
 		fmt.Printf("  %6.2fx  %s\n", c.Slowdown(w), c.Describe())

@@ -54,21 +54,22 @@ func run(configPath, workload string, payload, ops, buf, total int, printCfg boo
 	}
 	switch workload {
 	case "iperf":
-		r, err := harness.RunIperf(cfg, total, buf)
+		r, err := harness.Run(harness.Scenario{Config: cfg, Workload: harness.Iperf{Bytes: total, RecvBuf: buf}})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("iperf: %.2f Gb/s over %d bytes (recv buffer %d)\n", r.Gbps, r.Bytes, r.RecvBuf)
+		fmt.Printf("iperf: %.2f Gb/s over %d bytes (recv buffer %d)\n", r.Gbps(), r.Bytes, buf)
 		fmt.Printf("  simulated server time: %.2f ms, %d domain crossings\n",
-			clock.Nanoseconds(r.ServerCycles)/1e6, r.Crossings)
+			clock.Nanoseconds(r.Cycles)/1e6, r.Crossings)
 	case "redis":
 		for _, op := range []harness.RedisOp{harness.OpSET, harness.OpGET} {
-			r, err := harness.RunRedis(cfg, op, payload, ops)
+			r, err := harness.Run(harness.Scenario{Config: cfg,
+				Workload: harness.Redis{Op: op, Payload: payload, Ops: ops}})
 			if err != nil {
 				return err
 			}
 			fmt.Printf("redis %s: %.1f kreq/s (%dB values, %d requests, %.2f crossings/req)\n",
-				op, r.KReqPerSec, r.PayloadBytes, r.Ops, float64(r.Crossings)/float64(r.Ops))
+				op, r.KReqPerSec(), payload, r.Ops, float64(r.Crossings)/float64(r.Ops))
 		}
 	default:
 		return fmt.Errorf("unknown workload %q", workload)

@@ -70,49 +70,50 @@ func main() {
 		cfg.Alloc = flexos.AllocPerLibrary
 	}
 
-	if *smp > 1 || *streams > 1 {
-		cfg.Smp = *smp
-		r, ring, err := flexos.RunIperfParallelTraced(cfg, *streams, *total, *buf, traceCap)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("iperf -P %d: %d bytes, recv buffer %d, backend %v, model %s, %d vCPUs\n",
-			r.Streams, r.Bytes, *buf, backend, *model, r.VCPUs)
-		fmt.Printf("  throughput: %.2f Gb/s (makespan %.2f ms)\n",
-			r.Mbps/1000, clock.Nanoseconds(r.Makespan)/1e6)
-		for i, c := range r.PerCPU {
-			fmt.Printf("  cpu%d: %12d cycles\n", i, c)
-		}
-		fmt.Printf("  steals: %d  ipis: %d", r.Steals, r.IPIs)
-		if r.RPCStalled > 0 {
-			fmt.Printf("  vmm-stall: %d cycles", r.RPCStalled)
-		}
-		fmt.Println()
-		if *traceN > 0 {
-			printRing(ring)
-		}
-		writeProfile(*profile, ring, r.VCPUs)
-		return
+	var ring *flexos.TraceRing
+	sc := flexos.Scenario{Config: cfg, Workload: flexos.Iperf{Bytes: *total, RecvBuf: *buf}}
+	if traceCap > 0 {
+		sc.Prep = func(w *flexos.World) { ring = w.Server.EnableTracing(traceCap) }
 	}
-
-	res, ring, err := flexos.RunIperfTraced(cfg, *total, *buf, traceCap)
+	if *smp > 1 || *streams > 1 {
+		sc.Config.Smp = *smp
+		sc.Workload = flexos.IperfParallel{Streams: *streams, Bytes: *total, RecvBuf: *buf}
+	}
+	res, err := flexos.Run(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("iperf: %d bytes, recv buffer %d, backend %v, model %s\n",
-		res.Bytes, res.RecvBuf, backend, *model)
-	fmt.Printf("  throughput: %.2f Gb/s (simulated server time %.2f ms)\n",
-		res.Gbps, clock.Nanoseconds(res.ServerCycles)/1e6)
-	fmt.Printf("  domain crossings: %d\n", res.Crossings)
-	fmt.Println("  server cycles by component:")
-	for comp, cyc := range res.ByComponent {
-		fmt.Printf("    %-10s %12d (%5.1f%%)\n", comp, cyc,
-			100*float64(cyc)/float64(res.ServerCycles))
+	w := res.World
+	vcpus := w.Server.Clock.NCPU()
+	if _, parallel := sc.Workload.(flexos.IperfParallel); parallel {
+		fmt.Printf("iperf -P %d: %d bytes, recv buffer %d, backend %v, model %s, %d vCPUs\n",
+			len(res.StreamBytes), res.Bytes, *buf, backend, *model, vcpus)
+		fmt.Printf("  throughput: %.2f Gb/s (makespan %.2f ms)\n",
+			res.Gbps(), clock.Nanoseconds(res.Cycles)/1e6)
+		for i, cpu := range w.Server.Clock.CPUs() {
+			fmt.Printf("  cpu%d: %12d cycles\n", i, cpu.Cycles())
+		}
+		fmt.Printf("  steals: %d  ipis: %d", w.Sched.Steals(), w.Sched.IPIs())
+		if stalled := w.Server.Registry.CrossStalled(); stalled > 0 {
+			fmt.Printf("  vmm-stall: %d cycles", stalled)
+		}
+		fmt.Println()
+	} else {
+		fmt.Printf("iperf: %d bytes, recv buffer %d, backend %v, model %s\n",
+			res.Bytes, *buf, backend, *model)
+		fmt.Printf("  throughput: %.2f Gb/s (simulated server time %.2f ms)\n",
+			res.Gbps(), clock.Nanoseconds(res.Cycles)/1e6)
+		fmt.Printf("  domain crossings: %d\n", res.Crossings)
+		fmt.Println("  server cycles by component:")
+		for comp, cyc := range res.ByComponent {
+			fmt.Printf("    %-10s %12d (%5.1f%%)\n", comp, cyc,
+				100*float64(cyc)/float64(res.Cycles))
+		}
 	}
 	if *traceN > 0 {
 		printRing(ring)
 	}
-	writeProfile(*profile, ring, 1)
+	writeProfile(*profile, ring, vcpus)
 }
 
 // writeProfile exports the ring's events as a Chrome trace-event

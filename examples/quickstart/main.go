@@ -80,11 +80,11 @@ func main() {
 		if backend == flexos.FuncCall {
 			cfg.Compartments = flexos.SingleCompartment()
 		}
-		res, err := flexos.RunIperf(cfg, 1<<20, 4096)
+		res, err := flexos.Run(flexos.Scenario{Config: cfg, Workload: flexos.Iperf{Bytes: 1 << 20, RecvBuf: 4096}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-14v %8.2f Gb/s  (%d domain crossings)\n",
-			backend, res.Gbps, res.Crossings)
+			backend, res.Gbps(), res.Crossings)
 	}
 }

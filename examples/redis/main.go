@@ -62,13 +62,14 @@ func main() {
 	if *op == "SET" {
 		kind = flexos.OpSET
 	}
-	res, err := flexos.RunRedis(cfg, kind, *payload, *ops)
+	res, err := flexos.Run(flexos.Scenario{Config: cfg,
+		Workload: flexos.Redis{Op: kind, Payload: *payload, Ops: *ops}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("redis: %d x %s, %dB values, backend %v, model %s\n",
-		res.Ops, res.Op, res.PayloadBytes, backend, *model)
-	fmt.Printf("  throughput: %.1f kreq/s\n", res.KReqPerSec)
+		res.Ops, kind, *payload, backend, *model)
+	fmt.Printf("  throughput: %.1f kreq/s\n", res.KReqPerSec())
 	fmt.Printf("  domain crossings during measurement: %d (%.2f per request)\n",
 		res.Crossings, float64(res.Crossings)/float64(res.Ops))
 }

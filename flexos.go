@@ -16,9 +16,12 @@
 //	libs, _ := flexos.ParseLibraries(src)      // metadata language
 //	plan, _ := flexos.PlanCompartments(libs)   // compat + coloring
 //	cands, _ := flexos.Explore(libs, flexos.MPKShared) // design space
-//	world, _ := flexos.NewWorld(flexos.Config{ // runnable image
-//	    Compartments: flexos.NWOnly(),
-//	    Backend:      flexos.MPKShared,
+//	res, _ := flexos.Run(flexos.Scenario{      // boot and measure
+//	    Config: flexos.Config{
+//	        Compartments: flexos.NWOnly(),
+//	        Backend:      flexos.MPKShared,
+//	    },
+//	    Workload: flexos.Iperf{Bytes: 1 << 20, RecvBuf: 4096},
 //	})
 //
 // Everything below is a thin facade over the internal packages; see
@@ -209,12 +212,16 @@ type (
 func NewWorld(cfg Config) (*World, error) { return build.NewWorld(cfg) }
 
 // Experiment harness (internal/harness): regenerates the paper's
-// evaluation.
+// evaluation. A Scenario is an image plus a workload; Run boots it,
+// drives the workload and checks the run's invariants.
 type (
-	IperfResult = harness.IperfResult
-	RedisResult = harness.RedisResult
-	RedisOp     = harness.RedisOp
-	SmpRun      = harness.SmpRun
+	Scenario      = harness.Scenario
+	Result        = harness.Result
+	Iperf         = harness.Iperf
+	IperfParallel = harness.IperfParallel
+	Redis         = harness.Redis
+	RedisConns    = harness.RedisConns
+	RedisOp       = harness.RedisOp
 )
 
 // Redis operations.
@@ -223,44 +230,21 @@ const (
 	OpGET = harness.OpGET
 )
 
-// RunIperf measures server-side iperf throughput for a configuration.
-func RunIperf(cfg Config, totalBytes, recvBuf int) (*IperfResult, error) {
-	return harness.RunIperf(cfg, totalBytes, recvBuf)
-}
+// Run boots the scenario's image, drives its workload to completion and
+// returns the measurement, failing on any application or scheduler
+// error, a short transfer, a pool leak or unconserved attribution.
+func Run(sc Scenario) (*Result, error) { return harness.Run(sc) }
 
-// TraceRing holds recorded domain-crossing events.
+// TraceRing holds recorded domain-crossing events; a Scenario's Prep
+// enables one with World.Server.EnableTracing.
 type TraceRing = trace.Ring
-
-// RunIperfTraced is RunIperf with a server-side crossing trace of up
-// to traceCap events (0 disables tracing).
-func RunIperfTraced(cfg Config, totalBytes, recvBuf, traceCap int) (*IperfResult, *TraceRing, error) {
-	return harness.RunIperfTraced(cfg, totalBytes, recvBuf, traceCap)
-}
-
-// RunIperfParallel runs a multi-stream iperf transfer (iperf -P) on an
-// SMP machine (cfg.Smp vCPUs) and measures makespan throughput.
-func RunIperfParallel(cfg Config, streams, totalBytes, recvBuf int) (*SmpRun, error) {
-	return harness.RunIperfParallel(cfg, streams, totalBytes, recvBuf)
-}
-
-// RunIperfParallelTraced is RunIperfParallel with a server-side
-// crossing trace of up to traceCap events (0 disables tracing); each
-// event records the vCPU it ran on.
-func RunIperfParallelTraced(cfg Config, streams, totalBytes, recvBuf, traceCap int) (*SmpRun, *TraceRing, error) {
-	return harness.RunIperfParallelTraced(cfg, streams, totalBytes, recvBuf, traceCap)
-}
-
-// RunRedis measures Redis request throughput for a configuration.
-func RunRedis(cfg Config, op RedisOp, payloadBytes, ops int) (*RedisResult, error) {
-	return harness.RunRedis(cfg, op, payloadBytes, ops)
-}
 
 // Observability layer: cycle attribution and timeline export.
 type (
 	// Attribution is a complete cycle-attribution breakdown of one
 	// machine's run; Check() enforces that every cycle of capacity
-	// (makespan × vCPUs) is accounted for. IperfResult.Attr and
-	// SmpRun.Attr carry one per measured run.
+	// (makespan × vCPUs) is accounted for. Result.Attr carries one per
+	// measured run.
 	Attribution = metrics.Attribution
 	// AttributionSummary is the compact crossing/compute/stall split.
 	AttributionSummary = metrics.Summary

@@ -64,15 +64,18 @@ func TestFacadeWorkflow(t *testing.T) {
 	}
 
 	// 5. Build and run a measurement.
-	res, err := flexos.RunIperf(flexos.Config{
-		Compartments: flexos.NWOnly(),
-		Backend:      flexos.MPKShared,
-		Alloc:        flexos.AllocPerCompartment,
-	}, 128<<10, 4096)
+	res, err := flexos.Run(flexos.Scenario{
+		Config: flexos.Config{
+			Compartments: flexos.NWOnly(),
+			Backend:      flexos.MPKShared,
+			Alloc:        flexos.AllocPerCompartment,
+		},
+		Workload: flexos.Iperf{Bytes: 128 << 10, RecvBuf: 4096},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Gbps <= 0 || res.Crossings == 0 {
+	if res.Gbps() <= 0 || res.Crossings == 0 {
 		t.Fatalf("result = %+v", res)
 	}
 }
@@ -85,12 +88,12 @@ func TestFacadeBackendParsing(t *testing.T) {
 }
 
 func TestFacadeRedis(t *testing.T) {
-	res, err := flexos.RunRedis(flexos.Config{}, flexos.OpGET, 50, 64)
+	res, err := flexos.Run(flexos.Scenario{Workload: flexos.Redis{Op: flexos.OpGET, Payload: 50, Ops: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.KReqPerSec <= 0 {
-		t.Fatalf("throughput = %v", res.KReqPerSec)
+	if res.KReqPerSec() <= 0 {
+		t.Fatalf("throughput = %v", res.KReqPerSec())
 	}
 }
 

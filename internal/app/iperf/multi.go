@@ -86,6 +86,9 @@ func (ms *MultiServer) Finish() (bytes, recvs uint64, err error) {
 		if ms.errs[i] != nil {
 			return 0, 0, fmt.Errorf("iperf stream %d: %w", i, ms.errs[i])
 		}
+		if w == nil {
+			return 0, 0, fmt.Errorf("iperf stream %d: never accepted", i)
+		}
 		bytes += w.BytesReceived
 		recvs += w.Recvs
 	}

@@ -127,12 +127,6 @@ func (r *Registry) Call(fromLib, toLib string, argWords int, fn func() error) er
 	return r.CallWithFrame(fromLib, toLib, "", CallFrame{ArgWords: argWords, RetWords: 1}, fn)
 }
 
-// CallNamed is Call with the callee function named, feeding the
-// observer (used to generate draft metadata from observed behaviour).
-func (r *Registry) CallNamed(fromLib, toLib, fnName string, argWords int, fn func() error) error {
-	return r.CallWithFrame(fromLib, toLib, fnName, CallFrame{ArgWords: argWords, RetWords: 1}, fn)
-}
-
 // CallWithFrame is the full-ABI call site: the frame carries argument
 // and return word counts plus any payload buffers attached by
 // descriptor (the zero-copy data path).

@@ -6,16 +6,24 @@ import (
 	"flexos/internal/core/spec"
 )
 
+// recordRedis runs redis GET on the uncompartmentalized image with the
+// gate registry's observer feeding a call recorder.
+func recordRedis(name string, payloadBytes, ops int) (*spec.Recorder, *Result, error) {
+	rec := spec.NewRecorder()
+	r, err := Run(Scenario{
+		Config:   build.Config{Name: name},
+		Workload: Redis{Op: OpGET, Payload: payloadBytes, Ops: ops},
+		Prep:     func(w *build.World) { w.Server.Registry.SetObserver(rec.Observe) },
+	})
+	return rec, r, err
+}
+
 // RecordRedisMetadata runs the Redis workload with the gate registry's
 // observer tapped and returns the recorder plus the draft metadata it
 // generates — the paper's §5 semi-automatic metadata generation, fed
 // by a representative workload.
 func RecordRedisMetadata(payloadBytes, ops int) (*spec.Recorder, string, error) {
-	rec := spec.NewRecorder()
-	_, err := runRedis(build.Config{Name: "autospec"}, OpGET, payloadBytes, ops,
-		func(w *build.World) {
-			w.Server.Registry.SetObserver(rec.Observe)
-		})
+	rec, _, err := recordRedis("autospec", payloadBytes, ops)
 	if err != nil {
 		return nil, "", err
 	}
@@ -29,16 +37,12 @@ func RecordRedisMetadata(payloadBytes, ops int) (*spec.Recorder, string, error) 
 // calibrated defaults (they come from instrumentation density, which
 // call counting cannot see).
 func MeasureWorkload(payloadBytes, ops int) (explore.Workload, error) {
-	rec := spec.NewRecorder()
-	res, err := runRedis(build.Config{Name: "workload"}, OpGET, payloadBytes, ops,
-		func(w *build.World) {
-			w.Server.Registry.SetObserver(rec.Observe)
-		})
+	rec, res, err := recordRedis("workload", payloadBytes, ops)
 	if err != nil {
 		return explore.Workload{}, err
 	}
 	w := explore.DefaultWorkload()
-	w.BaseCycles = float64(res.ServerCycles) / float64(res.Ops)
+	w.BaseCycles = float64(res.Cycles) / float64(res.Ops)
 	rates := make(map[[2]string]float64)
 	for _, e := range rec.Edges() {
 		rates[[2]string{e.From, e.To}] += float64(rec.Count(e.From, e.To, e.Fn)) / float64(res.Ops)

@@ -3,14 +3,17 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"flexos/internal/core/build"
 	"flexos/internal/core/explore"
 	"flexos/internal/core/gate"
 	"flexos/internal/core/spec"
+	"flexos/internal/sh"
 )
 
 // --- Autotune: measured ranking of the explorer's Pareto front --------
@@ -153,125 +156,170 @@ func gateSignature(c *explore.Candidate) string {
 	return be + "|" + strings.Join(groups, ";")
 }
 
+// CandidateConfig turns a design-space candidate (a variant choice
+// plus its coloring) into a buildable image configuration: one
+// compartment per color, SH profiles for the hardened variants, and
+// the candidate's backend.
+func CandidateConfig(c *explore.Candidate) (build.Config, error) {
+	cfg := build.Config{
+		Name:    "candidate",
+		Backend: c.Backend,
+		Alloc:   build.AllocPerLibrary,
+	}
+	for i, comp := range c.Plan.Compartments {
+		bc := build.Compartment{Name: fmt.Sprintf("comp%d", i)}
+		for _, variant := range comp {
+			base, _, hardened := strings.Cut(variant, "+")
+			if !slices.Contains(build.DefaultLibraries, base) {
+				return cfg, fmt.Errorf("harness: candidate library %q is not a default image library", base)
+			}
+			bc.Libraries = append(bc.Libraries, base)
+			if hardened {
+				if cfg.SH == nil {
+					cfg.SH = make(map[string]sh.Profile)
+				}
+				cfg.SH[base] = SHProfile
+			}
+		}
+		cfg.Compartments = append(cfg.Compartments, bc)
+	}
+	return cfg, nil
+}
+
 // autotuneRun is one unique boot's measurements, shared by every
 // candidate with the same gate-cost signature.
 type autotuneRun struct {
-	once      sync.Once
-	err       error
-	measured  float64
-	kreq      float64
-	gbps      float64
-	crossings uint64
-	crossPct  float64
-	compPct   float64
-	stallPct  float64
+	once sync.Once
+	err  error
+	// m holds the measured columns of the AutotunePoint.
+	m AutotunePoint
+}
+
+// measure boots one candidate's configuration: redis GET for
+// cycles/op, then iperf for throughput and the attribution columns.
+func (run *autotuneRun) measure(c *explore.Candidate, opt AutotuneOpts) {
+	cfg, err := CandidateConfig(c)
+	if err != nil {
+		run.err = fmt.Errorf("autotune %s: %w", c.Describe(), err)
+		return
+	}
+	cfg.Name = fmt.Sprintf("autotune-%s-c%d-h%d", c.Backend, c.Plan.NumCompartments(), c.HardenedLibs)
+	r, err := Run(Scenario{Config: cfg, Workload: Redis{Op: OpGET, Payload: opt.Payload, Ops: opt.Ops}})
+	if err != nil {
+		run.err = fmt.Errorf("autotune redis %s: %w", cfg.Name, err)
+		return
+	}
+	run.m.Measured = float64(r.Cycles) / float64(r.Ops)
+	run.m.KReqPerSec = r.KReqPerSec()
+	run.m.Crossings = r.Crossings
+	if opt.IperfBytes <= 0 {
+		return
+	}
+	ir, err := Run(Scenario{Config: cfg, Workload: Iperf{Bytes: opt.IperfBytes, RecvBuf: opt.RecvBuf}})
+	if err != nil {
+		run.err = fmt.Errorf("autotune iperf %s: %w", cfg.Name, err)
+		return
+	}
+	sum := ir.Attr.Summary()
+	run.m.Gbps = ir.Gbps()
+	run.m.CrossingPct, run.m.ComputePct, run.m.StallPct = sum.CrossingPct, sum.ComputePct, sum.StallPct
+}
+
+// poolSize is the measurement pool's worker count.
+func poolSize(opt AutotuneOpts) int {
+	if opt.Workers > 0 {
+		return opt.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// Measure boots and measures every candidate under opt's workload
+// sizes: the static model's prediction next to the measured cycles/op
+// and kreq/s of redis GET, plus iperf throughput and the attribution
+// columns unless opt.IperfBytes is 0. Candidates that share a
+// gate-cost signature share one boot (the later ones are memo hits).
+// Workers pull candidates from a shared counter and write to
+// per-candidate slots, so the points are identical for any worker
+// count.
+func Measure(cands []*explore.Candidate, opt AutotuneOpts) ([]AutotunePoint, error) {
+	w := explore.DefaultWorkload()
+	sigs := make([]string, len(cands))
+	runs := make(map[string]*autotuneRun, len(cands))
+	points := make([]AutotunePoint, len(cands))
+	for i, c := range cands {
+		sigs[i] = gateSignature(c)
+		if runs[sigs[i]] == nil {
+			runs[sigs[i]] = &autotuneRun{}
+		} else {
+			points[i].MemoHit = true
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(poolSize(opt), len(cands)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cands); i = int(next.Add(1)) - 1 {
+				c, run := cands[i], runs[sigs[i]]
+				// sync.Once collapses twin signatures to one boot however
+				// the work interleaves.
+				run.once.Do(func() { run.measure(c, opt) })
+				p := run.m
+				p.MemoHit = points[i].MemoHit
+				p.Backend = c.Backend.String()
+				for _, l := range c.Libs {
+					p.Libs = append(p.Libs, l.VariantName())
+				}
+				p.Compartments = c.Plan.NumCompartments()
+				p.Hardened = c.HardenedLibs
+				p.Security = c.Security
+				p.Predicted = c.EstCycles
+				p.breakdown = explore.Breakdown(c, w)
+				points[i] = p
+			}
+		}()
+	}
+	wg.Wait()
+	for _, sig := range sigs {
+		if err := runs[sig].err; err != nil {
+			return nil, err
+		}
+	}
+	return points, nil
 }
 
 // Autotune explores every backend's design space, measures its static
 // Pareto front under the real workload, validates the cost model
 // point by point and fits a calibration from the results.
 func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	w := explore.DefaultWorkload()
-
+	res := &AutotuneResult{Workers: poolSize(opt), TolerancePct: opt.TolerancePct}
 	// Static fronts per backend, in deterministic front order.
-	type job struct {
-		cand *explore.Candidate
-		sig  string
-	}
-	var jobs []job
-	res := &AutotuneResult{Workers: workers, TolerancePct: opt.TolerancePct}
+	var cands []*explore.Candidate
 	for _, be := range AutotuneBackends() {
 		res.Backends = append(res.Backends, be.String())
-		cands, err := explore.Explore(spec.DefaultImage(), be, w)
+		all, err := explore.Explore(spec.DefaultImage(), be, w)
 		if err != nil {
 			return nil, err
 		}
-		front := explore.ParetoFront(cands)
-		onFront := make(map[*explore.Candidate]bool, len(front))
-		for _, c := range front {
-			onFront[c] = true
-			jobs = append(jobs, job{cand: c, sig: gateSignature(c)})
-		}
+		front := explore.ParetoFront(all)
+		cands = append(cands, front...)
 		// Anchor: the fully consolidated (single-compartment) candidates,
 		// whether or not this backend's front kept them. They never cross
 		// a gate, so their signature drops the backend and the three
 		// backends' anchors collapse to one boot — the memoization the
 		// sweep is built around, and a built-in check that a crossing-free
 		// world measures identically whatever the gate mechanism is.
-		for _, c := range cands {
-			if c.SeparatedPairs == 0 && !onFront[c] {
-				jobs = append(jobs, job{cand: c, sig: gateSignature(c)})
+		for _, c := range all {
+			if c.SeparatedPairs == 0 && !slices.Contains(front, c) {
+				cands = append(cands, c)
 			}
 		}
 	}
-
-	// Memoized measurement pool: workers pull job indices from a shared
-	// counter and write to per-index slots; sync.Once collapses twin
-	// signatures to one boot however the work interleaves.
-	runs := make(map[string]*autotuneRun, len(jobs))
-	for _, j := range jobs {
-		if _, ok := runs[j.sig]; !ok {
-			runs[j.sig] = &autotuneRun{}
-		}
-	}
-	points := make([]AutotunePoint, len(jobs))
-	firstOf := make(map[string]int, len(runs))
-	for i, j := range jobs {
-		if _, ok := firstOf[j.sig]; !ok {
-			firstOf[j.sig] = i
-		}
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				run := runs[j.sig]
-				run.once.Do(func() { measureAutotune(run, j.cand, opt) })
-				c := j.cand
-				names := make([]string, len(c.Libs))
-				for k, l := range c.Libs {
-					names[k] = l.VariantName()
-				}
-				points[i] = AutotunePoint{
-					Backend:      c.Backend.String(),
-					Libs:         names,
-					Compartments: c.Plan.NumCompartments(),
-					Hardened:     c.HardenedLibs,
-					Security:     c.Security,
-					Predicted:    c.EstCycles,
-					Measured:     run.measured,
-					KReqPerSec:   run.kreq,
-					Gbps:         run.gbps,
-					Crossings:    run.crossings,
-					CrossingPct:  run.crossPct,
-					ComputePct:   run.compPct,
-					StallPct:     run.stallPct,
-					MemoHit:      firstOf[j.sig] != i,
-					breakdown:    explore.Breakdown(c, w),
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range runs {
-		if r.err != nil {
-			return nil, r.err
-		}
+	points, err := Measure(cands, opt)
+	if err != nil {
+		return nil, err
 	}
 
 	// Model validation: relative error against the measured truth.
@@ -285,6 +333,9 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 		}
 		return e
 	}
+	// Calibrate on unique boots only, so twin candidates (identical
+	// signature across backends) don't double-weight the fit.
+	var pts []explore.CalPoint
 	for i := range points {
 		p := &points[i]
 		p.RelErrPct = relErr(p.Predicted, p.Measured)
@@ -294,21 +345,11 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 		}
 		if p.MemoHit {
 			res.MemoHits++
+			continue
 		}
+		pts = append(pts, explore.CalPoint{Breakdown: p.breakdown, Measured: p.Measured})
 	}
-	res.UniqueRuns = len(runs)
-
-	// Calibrate on unique boots only, so twin candidates (identical
-	// signature across backends) don't double-weight the fit.
-	uniq := make([]int, 0, len(firstOf))
-	for _, i := range firstOf {
-		uniq = append(uniq, i)
-	}
-	sort.Ints(uniq) // fixed fit order: map iteration must not reorder the float sums
-	pts := make([]explore.CalPoint, 0, len(uniq))
-	for _, i := range uniq {
-		pts = append(pts, explore.CalPoint{Breakdown: points[i].breakdown, Measured: points[i].Measured})
-	}
+	res.UniqueRuns = len(pts)
 	res.Calibration = explore.Calibrate(pts)
 	res.Calibrated = res.Calibration.Apply(w)
 	for i := range points {
@@ -371,36 +412,6 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 	})
 	res.Points = points
 	return res, nil
-}
-
-// measureAutotune boots one candidate's configuration and fills the
-// shared run entry: redis GET for cycles/op, iperf for throughput and
-// the attribution columns.
-func measureAutotune(run *autotuneRun, c *explore.Candidate, opt AutotuneOpts) {
-	cfg, err := CandidateConfig(c)
-	if err != nil {
-		run.err = fmt.Errorf("autotune %s: %w", c.Describe(), err)
-		return
-	}
-	cfg.Name = fmt.Sprintf("autotune-%s-c%d-h%d", c.Backend, c.Plan.NumCompartments(), c.HardenedLibs)
-	r, err := RunRedis(cfg, OpGET, opt.Payload, opt.Ops)
-	if err != nil {
-		run.err = fmt.Errorf("autotune redis %s: %w", cfg.Name, err)
-		return
-	}
-	run.measured = float64(r.ServerCycles) / float64(r.Ops)
-	run.kreq = r.KReqPerSec
-	ir, err := RunIperf(cfg, opt.IperfBytes, opt.RecvBuf)
-	if err != nil {
-		run.err = fmt.Errorf("autotune iperf %s: %w", cfg.Name, err)
-		return
-	}
-	run.gbps = ir.Gbps
-	run.crossings = r.Crossings
-	sum := ir.Attr.Summary()
-	run.crossPct = sum.CrossingPct
-	run.compPct = sum.ComputePct
-	run.stallPct = sum.StallPct
 }
 
 // FormatAutotune renders the measured-autotuning report.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"flexos/internal/app/iperf"
 	"flexos/internal/app/redis"
 	"flexos/internal/clock"
 	"flexos/internal/core/build"
@@ -158,22 +157,26 @@ func blastConfig(sc blastScenario) build.Config {
 	return cfg
 }
 
-func runBlast(sc blastScenario) (*BlastRow, error) {
-	switch sc.workload {
-	case "iperf-tcp":
-		return runBlastIperf(sc)
-	case "redis-store":
-		return runBlastRedis(sc)
-	default:
-		return nil, fmt.Errorf("unknown workload %q", sc.workload)
+// blastWorkload is the load each row runs: an iperf transfer, or the
+// redis store path.
+func blastWorkload(workload string) Workload {
+	if workload == "iperf-tcp" {
+		return Iperf{Bytes: 256 << 10, RecvBuf: 8 << 10}
 	}
+	return redisStore{ops: 40, payload: 256}
 }
 
-// classifyBlast turns a finished (or dead) run into a row. done
-// reports whether the workload completed its full transfer.
-func classifyBlast(sc blastScenario, w *build.World, in *fault.Injector,
-	runErr, appErr error, done bool) *BlastRow {
-	stats := w.Server.Sup.Stats()
+// runBlast runs one row's scenario with the injection armed and
+// classifies how far the fault spread.
+func runBlast(sc blastScenario) (*BlastRow, error) {
+	in := fault.NewInjector()
+	in.Arm(sc.inject)
+	r, err := Run(Scenario{Config: blastConfig(sc), Workload: blastWorkload(sc.workload),
+		Prep: func(w *build.World) { w.Server.InjectFaults(in) }})
+	if r == nil {
+		return nil, err
+	}
+	stats := r.World.Server.Sup.Stats()
 	row := &BlastRow{
 		Workload:   sc.workload,
 		Image:      sc.image,
@@ -181,7 +184,7 @@ func classifyBlast(sc blastScenario, w *build.World, in *fault.Injector,
 		Traps:      stats.Traps,
 		Retries:    stats.Retries,
 		RecoveryNS: clock.Nanoseconds(stats.RecoveryCycles),
-		LeakedBufs: w.Server.Pool.Outstanding(),
+		LeakedBufs: r.World.Server.Pool.Outstanding(),
 	}
 	if sc.faultIn != "" {
 		row.Policy = sc.policy.String()
@@ -190,114 +193,55 @@ func classifyBlast(sc blastScenario, w *build.World, in *fault.Injector,
 	switch {
 	case in.Fired() == 0:
 		row.Outcome = OutcomeNoTrap
-	case errors.As(runErr, &crash):
+	case errors.As(err, &crash):
 		row.Outcome = OutcomeFatal
 		row.Detail = crash.Error()
 	case stats.Degrades > 0:
 		row.Outcome = OutcomeDegraded
-		if appErr != nil {
-			row.Detail = appErr.Error()
-		}
-	case runErr == nil && appErr == nil && done:
-		if stats.Recoveries > 0 {
-			row.Outcome = OutcomeRecovered
-		} else {
-			// The fault trapped but the workload still finished — the
-			// trap was absorbed before it reached the application.
-			row.Outcome = OutcomeContained
-		}
+		row.Detail = firstError(err)
+	case err == nil && stats.Recoveries > 0:
+		row.Outcome = OutcomeRecovered
 	default:
+		// Either the workload saw the trap as an error, or the trap was
+		// absorbed before it reached the application and the run
+		// finished intact.
 		row.Outcome = OutcomeContained
-		if appErr != nil {
-			row.Detail = appErr.Error()
-		} else if runErr != nil {
-			row.Detail = runErr.Error()
-		}
+		row.Detail = firstError(err)
 	}
-	return row
+	return row, nil
 }
 
-func runBlastIperf(sc blastScenario) (*BlastRow, error) {
-	const (
-		totalBytes = 256 << 10
-		recvBuf    = 8 << 10
-	)
-	cfg := blastConfig(sc)
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
+// firstError is the message of the first error Run joined — the
+// server's, when the application failed — or "" for none.
+func firstError(err error) string {
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		err = j.Unwrap()[0]
 	}
-	in := fault.NewInjector()
-	in.Arm(sc.inject)
-	w.Server.InjectFaults(in)
-	srv := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf)
-	cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-		w.Server.Stack.IP(), 5001, totalBytes, 32<<10)
-	var srvErr, cliErr error
-	w.Sched.Spawn("iperf-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("iperf-client", w.Client.CPU, func(th *sched.Thread) {
-		cliErr = cli.Run(th)
-	})
-	runErr := w.Sched.Run()
-	appErr := srvErr
-	if appErr == nil {
-		appErr = cliErr
+	if err == nil {
+		return ""
 	}
-	done := srv.BytesReceived == uint64(totalBytes)
-	return classifyBlast(sc, w, in, runErr, appErr, done), nil
+	return err.Error()
 }
 
-func runBlastRedis(sc blastScenario) (*BlastRow, error) {
-	const (
-		ops     = 40
-		payload = 256
-	)
-	cfg := blastConfig(sc)
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	in := fault.NewInjector()
-	in.Arm(sc.inject)
-	w.Server.InjectFaults(in)
+// redisStore is the blast radius's redis load: one client alternating
+// SETs and GETs over eight keys, one request at a time, against the
+// single-connection server over the tcpip thread.
+type redisStore struct{ ops, payload int }
+
+func (redisStore) sockets() net.SocketMode { return net.TCPIPThreadMode }
+
+func (wl redisStore) start(w *build.World, r *Result) func() ([]error, error) {
 	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
+	value := valuePattern(wl.payload)
 	var srvErr, cliErr error
-	completed := 0
-	value := make([]byte, payload)
-	for i := range value {
-		value[i] = 'a' + byte(i%26)
-	}
 	w.Sched.Spawn("redis-server", w.Server.CPU, func(th *sched.Thread) {
 		srvErr = srv.Run(th)
 	})
 	w.Sched.Spawn("redis-client", w.Client.CPU, func(th *sched.Thread) {
-		c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), 6379)
-		if cliErr = c.Connect(th); cliErr != nil {
-			return
-		}
-		for i := 0; i < ops; i++ {
-			key := fmt.Sprintf("key:%d", i%8)
-			if i%2 == 0 {
-				cliErr = c.Set(th, key, value)
-			} else {
-				_, _, cliErr = c.Get(th, key)
-			}
-			if cliErr != nil {
-				return
-			}
-			completed++
-		}
-		cliErr = c.Close(th)
+		cliErr = redisSetGet(th, w, wl.ops, value, func(op int) string { return fmt.Sprintf("key:%d", op%8) })
 	})
-	runErr := w.Sched.Run()
-	appErr := cliErr
-	if appErr == nil {
-		appErr = srvErr
+	return func() ([]error, error) {
+		r.Ops = srv.Commands
+		return []error{srvErr, cliErr}, delivered("executed commands", r.Ops, wl.ops)
 	}
-	return classifyBlast(sc, w, in, runErr, appErr, completed == ops), nil
 }

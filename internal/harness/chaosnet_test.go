@@ -1,12 +1,12 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
-	"flexos/internal/app/iperf"
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
@@ -23,25 +23,26 @@ func TestChaosnetRecovery(t *testing.T) {
 		total   = 1 << 20
 		recvBuf = 16 << 10
 	)
-	cfg := chaosnetConfigs()[1] // MPK-shared
-	base, _, _, err := RunChaosnetIperf(cfg, total, recvBuf, 0, chaosnetSeed)
+	cfg := nwOnlyImages()[1] // MPK-shared
+	base, err := Run(chaosnetScenario(cfg, total, recvBuf, 0, chaosnetSeed))
 	if err != nil {
 		t.Fatalf("lossless run: %v", err)
 	}
-	lossy, stats, wire, err := RunChaosnetIperf(cfg, total, recvBuf, 0.01, chaosnetSeed)
+	lossy, err := Run(chaosnetScenario(cfg, total, recvBuf, 0.01, chaosnetSeed))
 	if err != nil {
 		t.Fatalf("lossy run: %v", err)
 	}
+	stats, wire := repairStats(lossy.World), lossy.World.Wire
 	if wire.Dropped == 0 {
 		t.Fatal("fault model dropped nothing at 1% loss")
 	}
 	if stats.Retransmits+stats.FastRetransmits == 0 {
 		t.Fatal("no retransmissions repaired the loss")
 	}
-	retention := lossy.Gbps / base.Gbps * 100
+	retention := lossy.Gbps() / base.Gbps() * 100
 	if retention < 50 {
 		t.Fatalf("1%% loss retained only %.1f%% of lossless goodput (%.2f of %.2f Gb/s)",
-			retention, lossy.Gbps, base.Gbps)
+			retention, lossy.Gbps(), base.Gbps())
 	}
 	t.Logf("1%% loss: %.1f%% retention, %d rtx (%d fast), %d frames dropped",
 		retention, stats.Retransmits, stats.FastRetransmits, wire.Dropped)
@@ -55,19 +56,19 @@ func TestChaosnetDeterminism(t *testing.T) {
 		total   = 512 << 10
 		recvBuf = 16 << 10
 	)
-	cfg := chaosnetConfigs()[1]
+	cfg := nwOnlyImages()[1]
 	cfg.Smp = 2
-	run := func() (*IperfResult, net.Stats, net.Wire) {
-		r, stats, wire, err := RunChaosnetIperf(cfg, total, recvBuf, 0.02, chaosnetSeed)
+	run := func() (*Result, net.Stats, net.Wire) {
+		r, err := Run(chaosnetScenario(cfg, total, recvBuf, 0.02, chaosnetSeed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, stats, *wire
+		return r, repairStats(r.World), *r.World.Wire
 	}
 	a, as, aw := run()
 	b, bs, bw := run()
-	if a.ServerCycles != b.ServerCycles {
-		t.Fatalf("cycle drift across replays: %d vs %d", a.ServerCycles, b.ServerCycles)
+	if a.Cycles != b.Cycles {
+		t.Fatalf("cycle drift across replays: %d vs %d", a.Cycles, b.Cycles)
 	}
 	if as != bs {
 		t.Fatalf("stats drift across replays:\n a: %+v\n b: %+v", as, bs)
@@ -94,34 +95,24 @@ func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
 		Alloc:        build.AllocPerCompartment,
 		OnFault:      map[string]fault.Policy{"nw": fault.PolicyRestart},
 	}
-	cfg.Net.SocketMode = net.TCPIPThreadMode
 	cfg.Net.RtxDelayTicks = 50
 	cfg.Net.RtxLimit = 3
 	cfg.Net.KeepaliveTicks = 20_000
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The link dies for good shortly after the handshake and never
 	// comes back: the transfer cannot finish, so the server's keepalive
 	// (and the client's retransmission budget) must declare net death.
-	w.Wire.ArmBoth(net.LinkFaults{Down: []net.DownWindow{{From: 300_000, To: math.MaxUint64}}})
-	srv := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf)
-	cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-		w.Server.Stack.IP(), 5001, total, 32<<10)
-	var srvErr, cliErr error
-	w.Sched.Spawn("iperf-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("iperf-client", w.Client.CPU, func(th *sched.Thread) {
-		cliErr = cli.Run(th)
-	})
-	if err := w.Sched.Run(); err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
-	if srvErr == nil && cliErr == nil {
+	r, err := Run(Scenario{Config: cfg, Workload: Iperf{Bytes: total, RecvBuf: recvBuf},
+		Prep: func(w *build.World) {
+			w.Wire.ArmBoth(net.LinkFaults{Down: []net.DownWindow{{From: 300_000, To: math.MaxUint64}}})
+		}})
+	if err == nil {
 		t.Fatal("transfer survived a permanent partition")
 	}
+	var crash *sched.ThreadCrash
+	if errors.Is(err, sched.ErrDeadlock) || errors.As(err, &crash) {
+		t.Fatalf("scheduler: %v", err)
+	}
+	w := r.World
 	if n := w.Server.Stack.Stats().NetDeaths; n == 0 {
 		t.Fatal("server stack recorded no net death")
 	}
@@ -159,7 +150,7 @@ func TestChaosSoakLossy(t *testing.T) {
 }
 
 func lossySoakOnce(t *testing.T, r *rand.Rand, iter int) {
-	configs := chaosnetConfigs()
+	configs := nwOnlyImages()
 	cfg := configs[r.Intn(len(configs))]
 	loss := []float64{0.001, 0.005, 0.01, 0.02}[r.Intn(4)]
 	if r.Intn(2) == 1 {
@@ -169,7 +160,7 @@ func lossySoakOnce(t *testing.T, r *rand.Rand, iter int) {
 		cfg.Link.Corrupt = 0.002
 	}
 	total := (128 + r.Intn(256)) << 10
-	res, _, wire, err := RunChaosnetIperf(cfg, total, 16<<10, loss, uint64(r.Int63())|1)
+	res, err := Run(chaosnetScenario(cfg, total, 16<<10, loss, uint64(r.Int63())|1))
 	if err != nil {
 		t.Errorf("iter %d (%s, loss %v): %v", iter, cfg.Name, loss, err)
 		return
@@ -177,7 +168,7 @@ func lossySoakOnce(t *testing.T, r *rand.Rand, iter int) {
 	if res.Bytes != uint64(total) {
 		t.Errorf("iter %d: received %d bytes, want %d", iter, res.Bytes, total)
 	}
-	if wire.Dropped == 0 && wire.Reordered == 0 && wire.Corrupted == 0 {
+	if wire := res.World.Wire; wire.Dropped == 0 && wire.Reordered == 0 && wire.Corrupted == 0 {
 		// Statistically possible on tiny transfers at 0.1%, but worth
 		// noticing if it happens on every iteration.
 		t.Logf("iter %d: fault model touched nothing (loss %v, %d bytes)", iter, loss, total)
@@ -205,5 +196,24 @@ func TestChaosnetQuick(t *testing.T) {
 	}
 	if s := FormatChaosnet(r); s == "" {
 		t.Fatal("FormatChaosnet produced nothing")
+	}
+}
+
+// TestChaosnetStatsSumBothStacks checks the summed repair counters on a
+// corrupting link: every checksum drop is also an input drop, on the
+// sum as on each stack.
+func TestChaosnetStatsSumBothStacks(t *testing.T) {
+	cfg := nwOnlyImages()[1] // MPK-shared
+	cfg.Link.Corrupt = 0.01
+	r, err := Run(chaosnetScenario(cfg, 512<<10, 16<<10, 0, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := repairStats(r.World)
+	if stats.ChecksumDrops == 0 {
+		t.Fatal("a 1% corrupting link failed no checksum")
+	}
+	if stats.ChecksumDrops > stats.DroppedIn {
+		t.Fatalf("%d checksum drops but only %d input drops", stats.ChecksumDrops, stats.DroppedIn)
 	}
 }

@@ -76,6 +76,12 @@ func Fig3Sizes(quick bool) []int {
 	return sizes
 }
 
+// sweepIperf is the transfer of a recv-buffer sweep point: 16 buffers'
+// worth, clamped to [512 KiB, 8 MiB].
+func sweepIperf(recvBuf int) Iperf {
+	return Iperf{Bytes: min(max(16*recvBuf, 512<<10), 8<<20), RecvBuf: recvBuf}
+}
+
 // Fig3 runs the sweep. quick thins the sweep for tests.
 func Fig3(quick bool) (*Fig3Result, error) {
 	sizes := Fig3Sizes(quick)
@@ -83,18 +89,11 @@ func Fig3(quick bool) (*Fig3Result, error) {
 	for _, cfg := range fig3Configs() {
 		s := Fig3Series{Label: cfg.Name}
 		for _, size := range sizes {
-			total := 16 * size
-			if total < 512<<10 {
-				total = 512 << 10
-			}
-			if total > 8<<20 {
-				total = 8 << 20
-			}
-			r, err := RunIperf(cfg, total, size)
+			r, err := Run(Scenario{Config: cfg, Workload: sweepIperf(size)})
 			if err != nil {
 				return nil, fmt.Errorf("fig3 %s @%d: %w", cfg.Name, size, err)
 			}
-			s.Points = append(s.Points, Fig3Point{RecvBuf: size, Mbps: r.Gbps * 1000})
+			s.Points = append(s.Points, Fig3Point{RecvBuf: size, Mbps: r.Gbps() * 1000})
 		}
 		out.Series = append(out.Series, s)
 	}
@@ -142,11 +141,11 @@ func Table1() (*Table1Result, error) {
 	const total = 4 << 20
 	run := func(shLibs []string) (float64, error) {
 		cfg := build.Config{Name: "table1", Alloc: build.AllocPerLibrary, SH: shAll(shLibs...)}
-		r, err := RunIperf(cfg, total, table1RecvBuf)
+		r, err := Run(Scenario{Config: cfg, Workload: Iperf{Bytes: total, RecvBuf: table1RecvBuf}})
 		if err != nil {
 			return 0, err
 		}
-		return r.Gbps, nil
+		return r.Gbps(), nil
 	}
 	baseline, err := run(nil)
 	if err != nil {
@@ -226,12 +225,12 @@ func Fig4(ops int) (*Fig4Result, error) {
 	for _, cfg := range fig4Configs() {
 		for _, payload := range Fig4Payloads {
 			for _, op := range []RedisOp{OpSET, OpGET} {
-				r, err := RunRedis(cfg, op, payload, ops)
+				r, err := Run(Scenario{Config: cfg, Workload: Redis{Op: op, Payload: payload, Ops: ops}})
 				if err != nil {
 					return nil, fmt.Errorf("fig4 %s %s/%dB: %w", cfg.Name, op, payload, err)
 				}
 				out.Cells = append(out.Cells, Fig4Cell{
-					Config: cfg.Name, Op: op, Payload: payload, KReqS: r.KReqPerSec,
+					Config: cfg.Name, Op: op, Payload: payload, KReqS: r.KReqPerSec(),
 				})
 			}
 		}
@@ -272,11 +271,12 @@ func Fig5(ops int) (*Fig5Result, error) {
 	}
 	out := &Fig5Result{}
 	for _, payload := range Fig4Payloads {
-		r, err := RunRedis(build.Config{Name: "No Isol."}, OpGET, payload, ops)
+		get := Redis{Op: OpGET, Payload: payload, Ops: ops}
+		r, err := Run(Scenario{Config: build.Config{Name: "No Isol."}, Workload: get})
 		if err != nil {
 			return nil, fmt.Errorf("fig5 baseline/%dB: %w", payload, err)
 		}
-		out.Cells = append(out.Cells, Fig5Cell{Model: "No Isol.", Stack: "-", Payload: payload, KReqS: r.KReqPerSec})
+		out.Cells = append(out.Cells, Fig5Cell{Model: "No Isol.", Stack: "-", Payload: payload, KReqS: r.KReqPerSec()})
 		for _, m := range fig5Models {
 			for _, variant := range []struct {
 				label   string
@@ -288,12 +288,12 @@ func Fig5(ops int) (*Fig5Result, error) {
 					Backend:      variant.backend,
 					Alloc:        build.AllocPerCompartment,
 				}
-				r, err := RunRedis(cfg, OpGET, payload, ops)
+				r, err := Run(Scenario{Config: cfg, Workload: get})
 				if err != nil {
 					return nil, fmt.Errorf("fig5 %s/%dB: %w", cfg.Name, payload, err)
 				}
 				out.Cells = append(out.Cells, Fig5Cell{
-					Model: m.name, Stack: variant.label, Payload: payload, KReqS: r.KReqPerSec,
+					Model: m.name, Stack: variant.label, Payload: payload, KReqS: r.KReqPerSec(),
 				})
 			}
 		}
@@ -377,17 +377,10 @@ func DataPath(quick bool) (*DataPathResult, error) {
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment}
 	out := &DataPathResult{Label: base.Name}
 	for _, size := range DataPathSizes(quick) {
-		total := 16 * size
-		if total < 512<<10 {
-			total = 512 << 10
-		}
-		if total > 8<<20 {
-			total = 8 << 20
-		}
-		run := func(dp net.DataPath) (*IperfResult, error) {
+		run := func(dp net.DataPath) (*Result, error) {
 			cfg := base
 			cfg.DataPath = dp
-			return RunIperf(cfg, total, size)
+			return Run(Scenario{Config: cfg, Workload: sweepIperf(size)})
 		}
 		shared, err := run(net.DataPathShared)
 		if err != nil {
@@ -399,8 +392,8 @@ func DataPath(quick bool) (*DataPathResult, error) {
 		}
 		p := DataPathPoint{
 			RecvBuf:    size,
-			SharedMbps: shared.Gbps * 1000,
-			CopyMbps:   copied.Gbps * 1000,
+			SharedMbps: shared.Gbps() * 1000,
+			CopyMbps:   copied.Gbps() * 1000,
 			CopyCycles: copied.ByComponent[clock.CompCopy],
 		}
 		if p.CopyMbps > 0 {
@@ -482,14 +475,14 @@ func Batching(quick bool) (*BatchingResult, error) {
 			if depth > 1 {
 				cfg.Batch = map[string]int{"nw": depth, "core": depth}
 			}
-			r, err := RunIperf(cfg, total, recvBuf)
+			r, err := Run(Scenario{Config: cfg, Workload: Iperf{Bytes: total, RecvBuf: recvBuf}})
 			if err != nil {
 				return nil, fmt.Errorf("batching %s @%d: %w", base.Name, depth, err)
 			}
 			p := BatchingPoint{
 				Depth:        depth,
-				Mbps:         r.Gbps * 1000,
-				ServerCycles: r.ServerCycles,
+				Mbps:         r.Gbps() * 1000,
+				ServerCycles: r.Cycles,
 				Crossings:    r.Crossings,
 				ByComponent:  r.ByComponent,
 			}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/core/explore"
 	"flexos/internal/core/gate"
@@ -86,13 +87,18 @@ func observeFingerprint(exp string) (any, error) {
 func fingerprintRedisParallel() (any, error) {
 	cfg := build.Config{Compartments: build.NWOnly(), Backend: gate.MPKShared,
 		Alloc: build.AllocPerCompartment, Smp: 4}
-	r, err := RunRedisParallel(cfg, 8, 64, 256)
+	r, err := Run(Scenario{Config: cfg, Workload: RedisConns{Conns: 8, Ops: 64, Payload: 256}})
 	if err != nil {
 		return nil, err
 	}
+	var perCPU []uint64
+	for _, cpu := range r.World.Server.Clock.CPUs() {
+		perCPU = append(perCPU, cpu.Cycles())
+	}
 	return map[string]any{
-		"vcpus": r.VCPUs, "conns": r.Conns, "ops": r.Ops, "makespan": r.Makespan,
-		"kops": r.KOpsPerSec, "percpu": r.PerCPU, "steals": r.Steals, "ipis": r.IPIs,
+		"vcpus": r.World.Server.Clock.NCPU(), "conns": 8, "ops": r.Ops, "makespan": r.Cycles,
+		"kops": float64(r.Ops) / (clock.Nanoseconds(r.Cycles) / 1e9) / 1e3, "percpu": perCPU,
+		"steals": r.World.Sched.Steals(), "ipis": r.World.Sched.IPIs(),
 	}, nil
 }
 
@@ -104,14 +110,14 @@ func fingerprintMeasureFront() (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms, err := MeasureCandidates(explore.ParetoFront(cands), OpGET, 50, 160)
+	points, err := Measure(explore.ParetoFront(cands), AutotuneOpts{Ops: 160, Payload: 50})
 	if err != nil {
 		return nil, err
 	}
 	var kreq, slow []float64
-	for _, m := range ms {
-		kreq = append(kreq, m.KReqPerSec)
-		slow = append(slow, m.Slowdown)
+	for _, p := range points {
+		kreq = append(kreq, p.KReqPerSec)
+		slow = append(slow, points[0].KReqPerSec/p.KReqPerSec)
 	}
 	return map[string]any{"kreq": kreq, "slowdown": slow}, nil
 }

@@ -222,16 +222,15 @@ func TestEstimatorOrderingMatchesMeasurement(t *testing.T) {
 	if len(front) < 2 {
 		t.Fatalf("front too small: %d", len(front))
 	}
-	ms, err := MeasureCandidates(front, OpGET, 50, 160)
+	ms, err := Measure(front, AutotuneOpts{Ops: 160, Payload: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(ms); i++ {
-		if ms[i].Candidate.EstCycles > ms[i-1].Candidate.EstCycles &&
+		if ms[i].Predicted > ms[i-1].Predicted &&
 			ms[i].KReqPerSec > ms[i-1].KReqPerSec*1.02 {
 			t.Errorf("estimator ordering violated: est %.0f > %.0f but measured %.1f > %.1f kreq/s",
-				ms[i].Candidate.EstCycles, ms[i-1].Candidate.EstCycles,
-				ms[i].KReqPerSec, ms[i-1].KReqPerSec)
+				ms[i].Predicted, ms[i-1].Predicted, ms[i].KReqPerSec, ms[i-1].KReqPerSec)
 		}
 	}
 }
@@ -256,13 +255,14 @@ func specDefaultImage(t *testing.T) []*spec.Library {
 }
 
 func TestRunIperfValidatesTransfer(t *testing.T) {
-	if _, err := RunIperf(build.Config{Backend: gate.Backend(99)}, 1000, 100); err == nil {
+	if _, err := Run(Scenario{Config: build.Config{Backend: gate.Backend(99)},
+		Workload: Iperf{Bytes: 1000, RecvBuf: 100}}); err == nil {
 		t.Fatal("bad backend accepted")
 	}
 }
 
 func TestRunRedisUnknownOp(t *testing.T) {
-	if _, err := RunRedis(build.Config{}, RedisOp("BOGUS"), 5, 8); err == nil {
+	if _, err := Run(Scenario{Workload: Redis{Op: "BOGUS", Payload: 5, Ops: 8}}); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
@@ -328,5 +328,22 @@ func TestMeasureWorkload(t *testing.T) {
 			t.Errorf("hardened candidate cheaper than baseline under measured workload")
 			break
 		}
+	}
+}
+
+// TestRunReportsPoolLeak pins the leak invariant in Run: a Prep that
+// takes one server buffer and never releases it turns an otherwise
+// complete iperf run into a pool-leak error.
+func TestRunReportsPoolLeak(t *testing.T) {
+	_, err := Run(Scenario{
+		Workload: Iperf{Bytes: 64 << 10, RecvBuf: 4 << 10},
+		Prep: func(w *build.World) {
+			if _, err := w.Server.Pool.Get(64); err != nil {
+				t.Fatal(err)
+			}
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "server pool leak: 1 buffers") {
+		t.Fatalf("want a server pool leak of one buffer, got %v", err)
 	}
 }

@@ -36,82 +36,54 @@ type Observation struct {
 // it — which is fine, because nothing numeric is derived from it.
 const observeTraceCap = 8192
 
-// observationOf assembles the exported bundle from a finished world.
-func observationOf(label string, cfg build.Config, w *build.World, ring *trace.Ring, attr *metrics.Attribution) Observation {
-	o := Observation{
-		Label:    label,
-		Backend:  cfg.Backend.String(),
-		VCPUs:    w.Server.Clock.NCPU(),
-		Attr:     attr,
-		Snapshot: w.Server.MetricsSnapshot(),
-	}
-	if ring != nil {
-		o.Events = ring.Events()
-		o.TotalEvents = ring.Total()
-		o.DroppedEvents = ring.Dropped()
-	}
-	return o
-}
-
 // ObserveFor runs one instrumented, traced measurement per
 // configuration of the named experiment and returns the observability
 // bundles. "smp" observes the SMP sweep's three images at the sweep's
 // largest vCPU count; every other experiment name observes the five
-// isolation backends on the single-stream iperf workload. Each
-// observation's attribution is conservation-checked before return.
+// isolation backends on the single-stream iperf workload. Run has
+// conservation-checked each observation's attribution.
 func ObserveFor(exp string, quick bool) ([]Observation, error) {
-	var out []Observation
+	type observed struct {
+		label string
+		sc    Scenario
+	}
+	var runs []observed
 	if exp == "smp" {
-		const (
-			total   = 8 << 20
-			recvBuf = 16 << 10
-		)
 		vcpus := SmpVCPUs(quick)
 		n := vcpus[len(vcpus)-1]
-		for _, base := range smpConfigs() {
-			cfg := base
-			if n > 1 {
-				cfg.Smp = n
-			}
-			r, ring, w, err := runIperfParallelWorld(cfg, SmpStreams, total, recvBuf, observeTraceCap)
-			if err != nil {
-				return nil, fmt.Errorf("observe smp %s: %w", base.Name, err)
-			}
-			o := observationOf(fmt.Sprintf("%s @%d vCPUs", base.Name, n), cfg, w, ring, r.Attr)
-			if err := o.Attr.Check(); err != nil {
-				return nil, fmt.Errorf("observe smp %s: %w", base.Name, err)
-			}
-			out = append(out, o)
+		for _, base := range nwOnlyImages() {
+			runs = append(runs, observed{fmt.Sprintf("%s @%d vCPUs", base.Name, n), smpScenario(base, n)})
 		}
-		return out, nil
+	} else {
+		// The five backends over the NW-only plan, single stream.
+		total := 1 << 20
+		if quick {
+			total = 256 << 10
+		}
+		for _, b := range []gate.Backend{gate.FuncCall, gate.MPKShared, gate.MPKSwitched, gate.VMRPC, gate.CHERI} {
+			cfg := build.Config{Name: b.String() + " NW-only", Compartments: build.NWOnly(),
+				Backend: b, Alloc: build.AllocPerCompartment}
+			runs = append(runs, observed{cfg.Name, Scenario{Config: cfg, Workload: Iperf{Bytes: total, RecvBuf: 16 << 10}}})
+		}
 	}
-	// Default: the five backends over the NW-only plan, single stream.
-	configs := []build.Config{
-		{Name: "funccall NW-only", Compartments: build.NWOnly(),
-			Backend: gate.FuncCall, Alloc: build.AllocPerCompartment},
-		{Name: "mpk-shared NW-only", Compartments: build.NWOnly(),
-			Backend: gate.MPKShared, Alloc: build.AllocPerCompartment},
-		{Name: "mpk-switched NW-only", Compartments: build.NWOnly(),
-			Backend: gate.MPKSwitched, Alloc: build.AllocPerCompartment},
-		{Name: "vm-rpc NW-only", Compartments: build.NWOnly(),
-			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
-		{Name: "cheri NW-only", Compartments: build.NWOnly(),
-			Backend: gate.CHERI, Alloc: build.AllocPerCompartment},
-	}
-	total := 1 << 20
-	if quick {
-		total = 256 << 10
-	}
-	for _, cfg := range configs {
-		r, ring, w, err := runIperfWorld(cfg, total, 16<<10, observeTraceCap)
+	out := make([]Observation, 0, len(runs))
+	for _, o := range runs {
+		var ring *trace.Ring
+		o.sc.Prep = func(w *build.World) { ring = w.Server.EnableTracing(observeTraceCap) }
+		r, err := Run(o.sc)
 		if err != nil {
-			return nil, fmt.Errorf("observe %s: %w", cfg.Name, err)
+			return nil, fmt.Errorf("observe %s: %w", o.label, err)
 		}
-		o := observationOf(cfg.Name, cfg, w, ring, r.Attr)
-		if err := o.Attr.Check(); err != nil {
-			return nil, fmt.Errorf("observe %s: %w", cfg.Name, err)
-		}
-		out = append(out, o)
+		out = append(out, Observation{
+			Label:         o.label,
+			Backend:       o.sc.Config.Backend.String(),
+			VCPUs:         r.World.Server.Clock.NCPU(),
+			Attr:          r.Attr,
+			Snapshot:      r.World.Server.MetricsSnapshot(),
+			Events:        ring.Events(),
+			TotalEvents:   ring.Total(),
+			DroppedEvents: ring.Dropped(),
+		})
 	}
 	return out, nil
 }

@@ -30,14 +30,11 @@ func TestAttributionConservation(t *testing.T) {
 				if smp > 1 {
 					cfg.Smp = smp
 				}
-				r, _, w, err := runIperfParallelWorld(cfg, 4, 1<<20, 16<<10, 0)
+				r, err := Run(Scenario{Config: cfg, Workload: IperfParallel{Streams: 4, Bytes: 1 << 20, RecvBuf: 16 << 10}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				a := r.Attr
-				if a == nil {
-					t.Fatal("no attribution on SmpRun")
-				}
+				a, w := r.Attr, r.World
 				if a.VCPUs != smp {
 					t.Fatalf("attribution covers %d vCPUs, want %d", a.VCPUs, smp)
 				}
@@ -70,10 +67,14 @@ func TestAttributionSurvivesSaturatedRing(t *testing.T) {
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, Smp: 4,
 	}
 	const tinyRing = 8
-	r, ring, w, err := runIperfParallelWorld(cfg, 4, 1<<20, 16<<10, tinyRing)
+	var ring *trace.Ring
+	load := IperfParallel{Streams: 4, Bytes: 1 << 20, RecvBuf: 16 << 10}
+	r, err := Run(Scenario{Config: cfg, Workload: load,
+		Prep: func(w *build.World) { ring = w.Server.EnableTracing(tinyRing) }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := r.World
 	if ring.Dropped() == 0 {
 		t.Fatalf("ring of %d held all %d events; the test needs saturation", tinyRing, ring.Total())
 	}
@@ -90,7 +91,7 @@ func TestAttributionSurvivesSaturatedRing(t *testing.T) {
 	}
 	// The same run untraced attributes identically: tracing is
 	// observation, not perturbation.
-	r2, _, _, err := runIperfParallelWorld(cfg, 4, 1<<20, 16<<10, 0)
+	r2, err := Run(Scenario{Config: cfg, Workload: load})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,8 @@ func TestObserveForSmp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(obs) != len(smpConfigs()) {
-		t.Fatalf("observed %d images, want %d", len(obs), len(smpConfigs()))
+	if len(obs) != len(nwOnlyImages()) {
+		t.Fatalf("observed %d images, want %d", len(obs), len(nwOnlyImages()))
 	}
 	for _, o := range obs {
 		if err := o.Attr.Check(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flexos/internal/app/iperf"
-	"flexos/internal/app/redis"
 	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
@@ -75,7 +74,6 @@ type OverloadResult struct {
 // push requests past them.
 const (
 	redisOverloadOps    = 128
-	redisOverloadKeys   = 16
 	redisBudgetFactor   = 4
 	iperfOverloadBytes  = 96 << 10 // per connection
 	iperfOverloadRecv   = 4 << 10
@@ -150,192 +148,114 @@ func iperfOverloadConfig(img overloadImage, shed bool) build.Config {
 	return cfg
 }
 
-// redisOverloadMeasure is the raw outcome of one redis overload run.
-type redisOverloadMeasure struct {
-	cycles             uint64
-	good, late, shed   uint64
-	busy               uint64 // client-observed -BUSY replies
-	maxAge             uint64 // worst command age seen by the server
-	supSheds, supTraps uint64
+// redisOverloadScenario runs ops pipelined GETs in batches of batch
+// against a server with the given budget; the client tolerates -BUSY
+// replies — that is the point of shedding: the connection survives,
+// only the stale requests are refused.
+func redisOverloadScenario(img overloadImage, shed bool, budget uint64, batch, ops int) Scenario {
+	return Scenario{Config: redisOverloadConfig(img, shed), Workload: Redis{
+		Op: OpGET, Payload: 256, Ops: ops, Depth: batch, Budget: budget, Enforce: shed}}
 }
 
-// runRedisOverload runs ops pipelined GETs in batches of batch against
-// a server with the given budget, measuring from after warmup. The
-// client tolerates -BUSY replies — that is the point of shedding: the
-// connection survives, only the stale requests are refused.
-func runRedisOverload(cfg build.Config, budget uint64, enforce bool, batch, ops int) (*redisOverloadMeasure, error) {
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-	srv.Budget = budget
-	srv.Enforce = enforce
-	m := &redisOverloadMeasure{}
-	payload := make([]byte, 256)
-	for i := range payload {
-		payload[i] = 'a' + byte(i%26)
-	}
-	var srvErr, cliErr error
-	w.Sched.Spawn("redis-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("redis-client", w.Client.CPU, func(th *sched.Thread) {
-		c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), 6379)
-		if cliErr = c.Connect(th); cliErr != nil {
-			return
-		}
-		for i := 0; i < redisOverloadKeys; i++ {
-			if cliErr = c.Set(th, fmt.Sprintf("key:%d", i), payload); cliErr != nil {
-				return
-			}
-		}
-		startCycles := w.Server.CPU.Cycles()
-		startGood, startLate, startShed := srv.Good, srv.Late, srv.Shed
-		srv.MaxAge = 0 // exclude warmup SETs from the age calibration
-		stats0 := w.Server.Sup.Stats()
-		issued := 0
-		for issued < ops {
-			b := batch
-			if b > ops-issued {
-				b = ops - issued
-			}
-			cmds := make([][][]byte, 0, b)
-			for i := 0; i < b; i++ {
-				key := []byte(fmt.Sprintf("key:%d", (issued+i)%redisOverloadKeys))
-				cmds = append(cmds, [][]byte{[]byte("GET"), key})
-			}
-			replies, err := c.DoPipelined(th, cmds)
-			if err != nil {
-				cliErr = err
-				return
-			}
-			for _, r := range replies {
-				if len(r) > 0 && r[0] == '-' {
-					m.busy++
-				}
-			}
-			issued += b
-		}
-		m.cycles = w.Server.CPU.Cycles() - startCycles
-		m.good = srv.Good - startGood
-		m.late = srv.Late - startLate
-		m.shed = srv.Shed - startShed
-		m.maxAge = srv.MaxAge
-		stats1 := w.Server.Sup.Stats()
-		m.supSheds = stats1.Sheds - stats0.Sheds
-		m.supTraps = stats1.DeadlineTraps - stats0.DeadlineTraps
-		cliErr = c.Close(th)
-	})
-	if err := w.Sched.Run(); err != nil {
-		return nil, fmt.Errorf("harness overload redis: %w", err)
-	}
-	if srvErr != nil {
-		return nil, fmt.Errorf("harness overload redis server: %w", srvErr)
-	}
-	if cliErr != nil {
-		return nil, fmt.Errorf("harness overload redis client: %w", cliErr)
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, err
-	}
-	return m, nil
+// iperfPairs is the iperf overload load: conns concurrent transfers,
+// one server drain thread and one client each on ports 5001+i, with
+// the given per-drain budget, all sharing the server's boot vCPU —
+// offered load scales with conns.
+type iperfPairs struct {
+	conns   int
+	budget  uint64
+	enforce bool
 }
 
-// iperfOverloadMeasure is the raw outcome of one iperf overload run.
-type iperfOverloadMeasure struct {
-	cycles             uint64
-	received           uint64
-	good, late         uint64
-	sheds              uint64
-	recvs              uint64
-	supSheds, supTraps uint64
-	stats              rt.SupervisorStats
-	breakerState       string
-}
+func (iperfPairs) sockets() net.SocketMode { return net.TCPIPThreadMode }
 
-// runIperfOverload runs conns concurrent transfers (one server drain
-// thread and one client each, on ports 5001+i) with the given per-drain
-// budget, all sharing the server CPU — offered load scales with conns.
-func runIperfOverload(cfg build.Config, budget uint64, enforce bool, conns int) (*iperfOverloadMeasure, error) {
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	srvs := make([]*iperf.Server, conns)
-	var srvErr, cliErr error
-	for i := 0; i < conns; i++ {
+func (wl iperfPairs) start(w *build.World, r *Result) func() ([]error, error) {
+	srvs := make([]*iperf.Server, wl.conns)
+	errs := make([]error, 2*wl.conns)
+	for i := range srvs {
 		s := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack,
 			uint16(5001+i), iperfOverloadRecv)
-		s.Budget = budget
-		s.Enforce = enforce
+		s.Budget = wl.budget
+		s.Enforce = wl.enforce
 		s.ProcFactor = iperfProcFactor
 		srvs[i] = s
 		w.Sched.Spawn(fmt.Sprintf("iperf-server-%d", i), w.Server.CPU, func(th *sched.Thread) {
-			if err := s.RunOverload(th); err != nil && srvErr == nil {
-				srvErr = err
-			}
+			errs[i] = s.RunOverload(th)
 		})
 		c := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
 			w.Server.Stack.IP(), uint16(5001+i), iperfOverloadBytes, iperfOverloadWrite)
 		w.Sched.Spawn(fmt.Sprintf("iperf-client-%d", i), w.Client.CPU, func(th *sched.Thread) {
-			if err := c.Run(th); err != nil && cliErr == nil {
-				cliErr = err
-			}
+			errs[wl.conns+i] = c.Run(th)
 		})
 	}
-	if err := w.Sched.Run(); err != nil {
-		return nil, fmt.Errorf("harness overload iperf: %w", err)
+	return func() ([]error, error) {
+		r.Cycles = w.Server.CPU.Cycles()
+		for _, s := range srvs {
+			r.Bytes += s.BytesReceived
+			r.Good += s.GoodBytes
+			r.Late += s.LateBytes
+			r.Shed += s.Sheds
+			r.Recvs += s.Recvs
+		}
+		return errs, delivered("received bytes", r.Bytes, wl.conns*iperfOverloadBytes)
 	}
-	if srvErr != nil {
-		return nil, fmt.Errorf("harness overload iperf server: %w", srvErr)
+}
+
+func iperfOverloadScenario(img overloadImage, shed bool, budget uint64, conns int) Scenario {
+	return Scenario{Config: iperfOverloadConfig(img, shed),
+		Workload: iperfPairs{conns: conns, budget: budget, enforce: shed}}
+}
+
+// redisOverloadBudget self-calibrates an image's redis budget from two
+// probes that measure command *ages* directly (completion minus wire
+// arrival). Depth 1 gives the base age of an unqueued request; depth
+// 32 gives the worst age in a deep batch, whose slope over the batch
+// is the marginal queueing cost per pipelined command. Budget =
+// 2·base + factor·marginal: shallow pipelines sit comfortably inside
+// it, deep ones queue their tail commands past it — which is the
+// overload signal.
+func redisOverloadBudget(img overloadImage) (uint64, error) {
+	cal1, err := Run(redisOverloadScenario(img, false, 0, 1, 64))
+	if err != nil {
+		return 0, fmt.Errorf("calibration depth 1: %w", err)
 	}
-	if cliErr != nil {
-		return nil, fmt.Errorf("harness overload iperf client: %w", cliErr)
+	cal32, err := Run(redisOverloadScenario(img, false, 0, 32, 64))
+	if err != nil {
+		return 0, fmt.Errorf("calibration depth 32: %w", err)
 	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, err
+	var marginal uint64
+	if cal32.MaxAge > cal1.MaxAge {
+		marginal = (cal32.MaxAge - cal1.MaxAge) / 31
 	}
-	m := &iperfOverloadMeasure{cycles: w.Server.CPU.Cycles()}
-	for _, s := range srvs {
-		m.received += s.BytesReceived
-		m.good += s.GoodBytes
-		m.late += s.LateBytes
-		m.sheds += s.Sheds
-		m.recvs += s.Recvs
+	return 2*cal1.MaxAge + redisBudgetFactor*marginal, nil
+}
+
+// overloadRow records one measured run of the matrix; the supervisor
+// counters cover the whole run, whose warmup a successful run never
+// sheds.
+func overloadRow(workload string, img overloadImage, mode string, load, offered int, r *Result, goodput float64) OverloadRow {
+	stats := r.World.Server.Sup.Stats()
+	return OverloadRow{
+		Workload:         workload,
+		Image:            img.name,
+		Mode:             mode,
+		Load:             load,
+		Offered:          uint64(offered),
+		Good:             r.Good,
+		Late:             r.Late,
+		Shed:             r.Shed,
+		Goodput:          goodput,
+		SupSheds:         stats.Sheds,
+		SupDeadlineTraps: stats.DeadlineTraps,
 	}
-	m.stats = w.Server.Sup.Stats()
-	m.supSheds = m.stats.Sheds
-	m.supTraps = m.stats.DeadlineTraps
-	m.breakerState = w.Server.Sup.BreakerState("nw")
-	return m, nil
 }
 
 // redisOverloadRows sweeps pipeline depth for one image.
 func redisOverloadRows(img overloadImage) ([]OverloadRow, error) {
-	// Self-calibrate from two probes that measure command *ages*
-	// directly (completion minus wire arrival). Depth 1 gives the base
-	// age of an unqueued request; depth 32 gives the worst age in a
-	// deep batch, whose slope over the batch is the marginal queueing
-	// cost per pipelined command. Budget = 2·base + factor·marginal:
-	// shallow pipelines sit comfortably inside it, deep ones queue
-	// their tail commands past it — which is the overload signal.
-	cal1, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 1, 64)
+	budget, err := redisOverloadBudget(img)
 	if err != nil {
-		return nil, fmt.Errorf("calibration depth 1: %w", err)
+		return nil, err
 	}
-	cal32, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 32, 64)
-	if err != nil {
-		return nil, fmt.Errorf("calibration depth 32: %w", err)
-	}
-	var marginal uint64
-	if cal32.maxAge > cal1.maxAge {
-		marginal = (cal32.maxAge - cal1.maxAge) / 31
-	}
-	budget := 2*cal1.maxAge + redisBudgetFactor*marginal
 	modes := []string{"noshed"}
 	if img.backend != gate.FuncCall {
 		modes = append(modes, "shed")
@@ -344,23 +264,12 @@ func redisOverloadRows(img overloadImage) ([]OverloadRow, error) {
 	for _, mode := range modes {
 		shed := mode == "shed"
 		for _, batch := range redisOverloadBatches {
-			m, err := runRedisOverload(redisOverloadConfig(img, shed), budget, shed,
-				batch, redisOverloadOps)
+			r, err := Run(redisOverloadScenario(img, shed, budget, batch, redisOverloadOps))
 			if err != nil {
 				return nil, fmt.Errorf("batch %d %s: %w", batch, mode, err)
 			}
-			rows = append(rows, OverloadRow{
-				Workload: "redis-get",
-				Image:    img.name,
-				Mode:     mode,
-				Load:     batch,
-				Offered:  redisOverloadOps,
-				Good:     m.good,
-				Late:     m.late,
-				Shed:     m.shed,
-				Goodput:  clock.OpsPerSec(m.good, m.cycles) / 1e3,
-				SupSheds: m.supSheds, SupDeadlineTraps: m.supTraps,
-			})
+			rows = append(rows, overloadRow("redis-get", img, mode, batch, redisOverloadOps, r,
+				clock.OpsPerSec(r.Good, r.Cycles)/1e3))
 		}
 	}
 	return rows, nil
@@ -368,14 +277,14 @@ func redisOverloadRows(img overloadImage) ([]OverloadRow, error) {
 
 // iperfOverloadRows sweeps connection count for one image.
 func iperfOverloadRows(img overloadImage) ([]OverloadRow, uint64, error) {
-	cal, err := runIperfOverload(iperfOverloadConfig(img, false), 0, false, 1)
+	cal, err := Run(iperfOverloadScenario(img, false, 0, 1))
 	if err != nil {
 		return nil, 0, fmt.Errorf("calibration: %w", err)
 	}
-	if cal.recvs == 0 {
+	if cal.Recvs == 0 {
 		return nil, 0, fmt.Errorf("calibration: no drains")
 	}
-	budget := iperfBudgetFactor * (cal.cycles / cal.recvs)
+	budget := iperfBudgetFactor * (cal.Cycles / cal.Recvs)
 	modes := []string{"noshed"}
 	if img.backend != gate.FuncCall {
 		modes = append(modes, "shed")
@@ -384,22 +293,12 @@ func iperfOverloadRows(img overloadImage) ([]OverloadRow, uint64, error) {
 	for _, mode := range modes {
 		shed := mode == "shed"
 		for _, conns := range iperfOverloadConns {
-			m, err := runIperfOverload(iperfOverloadConfig(img, shed), budget, shed, conns)
+			r, err := Run(iperfOverloadScenario(img, shed, budget, conns))
 			if err != nil {
 				return nil, 0, fmt.Errorf("conns %d %s: %w", conns, mode, err)
 			}
-			rows = append(rows, OverloadRow{
-				Workload: "iperf-tcp",
-				Image:    img.name,
-				Mode:     mode,
-				Load:     conns,
-				Offered:  uint64(conns) * iperfOverloadBytes,
-				Good:     m.good,
-				Late:     m.late,
-				Shed:     m.sheds,
-				Goodput:  clock.GbpsFor(m.good, m.cycles) * 1e3,
-				SupSheds: m.supSheds, SupDeadlineTraps: m.supTraps,
-			})
+			rows = append(rows, overloadRow("iperf-tcp", img, mode, conns, conns*iperfOverloadBytes, r,
+				clock.GbpsFor(r.Good, r.Cycles)*1e3))
 		}
 	}
 	return rows, budget, nil
@@ -422,18 +321,19 @@ func runBreakerDemo(calibratedBudget uint64) (*BreakerDemo, error) {
 	if budget == 0 {
 		budget = 1
 	}
-	m, err := runIperfOverload(cfg, budget, true, 2)
+	r, err := Run(Scenario{Config: cfg, Workload: iperfPairs{conns: 2, budget: budget, enforce: true}})
 	if err != nil {
 		return nil, err
 	}
+	stats := r.World.Server.Sup.Stats()
 	return &BreakerDemo{
 		Image:      img.name,
-		Opens:      m.stats.BreakerOpens,
-		Closes:     m.stats.BreakerCloses,
-		FastFails:  m.stats.BreakerFastFails,
-		Sheds:      m.stats.Sheds,
-		FinalState: m.breakerState,
-		Completed:  m.received == 2*iperfOverloadBytes,
+		Opens:      stats.BreakerOpens,
+		Closes:     stats.BreakerCloses,
+		FastFails:  stats.BreakerFastFails,
+		Sheds:      stats.Sheds,
+		FinalState: r.World.Server.Sup.BreakerState("nw"),
+		Completed:  r.Bytes == 2*iperfOverloadBytes,
 	}, nil
 }
 

@@ -1,18 +1,18 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
-	"flexos/internal/app/iperf"
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
-	"flexos/internal/net"
 	"flexos/internal/rt"
 	"flexos/internal/sched"
 )
@@ -130,28 +130,37 @@ func TestOverloadMatrix(t *testing.T) {
 // shed, instead of wedging or dropping the connection.
 func TestOverloadBusyReplies(t *testing.T) {
 	img := overloadImage{name: "mpk-switched", backend: gate.MPKSwitched}
-	cal1, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 1, 64)
+	budget, err := redisOverloadBudget(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal32, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 32, 64)
+	r, err := Run(redisOverloadScenario(img, true, budget, 32, redisOverloadOps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var marginal uint64
-	if cal32.maxAge > cal1.maxAge {
-		marginal = (cal32.maxAge - cal1.maxAge) / 31
-	}
-	budget := 2*cal1.maxAge + redisBudgetFactor*marginal
-	m, err := runRedisOverload(redisOverloadConfig(img, true), budget, true, 32, redisOverloadOps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.shed == 0 {
+	if r.Shed == 0 {
 		t.Fatal("no commands shed at depth 32")
 	}
-	if m.busy != m.shed {
-		t.Fatalf("client saw %d -BUSY replies, server shed %d commands", m.busy, m.shed)
+	if r.Busy != r.Shed {
+		t.Fatalf("client saw %d -BUSY replies, server shed %d commands", r.Busy, r.Shed)
+	}
+}
+
+// TestOverloadDeadlockKeepsCause pins the error order of a failed run:
+// under an impossible budget the warmup SET is shed, the client quits
+// on the -BUSY reply and the server blocks forever. The run must
+// report the client's error, not only the deadlock it caused.
+func TestOverloadDeadlockKeepsCause(t *testing.T) {
+	img := overloadImage{name: "mpk-switched", backend: gate.MPKSwitched}
+	_, err := Run(redisOverloadScenario(img, true, 1000, 16, 64))
+	if err == nil {
+		t.Fatal("run under an impossible budget succeeded")
+	}
+	if !errors.Is(err, sched.ErrDeadlock) {
+		t.Fatalf("want the deadlock reported too, got %v", err)
+	}
+	if !strings.Contains(err.Error(), `SET reply "-BUSY`) {
+		t.Fatalf("the shed warmup SET is missing from %q", err)
 	}
 }
 
@@ -161,16 +170,16 @@ func TestOverloadBusyReplies(t *testing.T) {
 func TestOverloadDeterminism(t *testing.T) {
 	img := overloadImage{name: "mpk-switched", backend: gate.MPKSwitched}
 	const budget = 60_000
-	a, err := runIperfOverload(iperfOverloadConfig(img, true), budget, true, 2)
+	a, err := Run(iperfOverloadScenario(img, true, budget, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runIperfOverload(iperfOverloadConfig(img, true), budget, true, 2)
+	b, err := Run(iperfOverloadScenario(img, true, budget, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.cycles != b.cycles || a.good != b.good || a.late != b.late ||
-		a.sheds != b.sheds || a.recvs != b.recvs {
+	if a.Cycles != b.Cycles || a.Good != b.Good || a.Late != b.Late ||
+		a.Shed != b.Shed || a.Recvs != b.Recvs {
 		t.Fatalf("runs differ: %+v vs %+v", a, b)
 	}
 }
@@ -218,17 +227,12 @@ func TestChaosSoak(t *testing.T) {
 func soakOnce(t *testing.T, r *rand.Rand, iter int) {
 	img := overloadImage{name: "mpk-switched", backend: gate.MPKSwitched}
 	cfg := iperfOverloadConfig(img, true)
-	cfg.Net.SocketMode = net.TCPIPThreadMode
 	cfg.OnFault = map[string]fault.Policy{"nw": fault.PolicyRestart}
 	cfg.Breaker = map[string]rt.BreakerSpec{"nw": {
 		Threshold: 2 + r.Intn(4),
 		Window:    128 + r.Intn(256),
 		Cooldown:  uint64(10_000 + r.Intn(60_000)),
 	}}
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		t.Fatalf("iter %d: %v", iter, err)
-	}
 	in := fault.NewInjector()
 	in.Arm(fault.Injection{
 		Lib:      "netstack",
@@ -237,51 +241,15 @@ func soakOnce(t *testing.T, r *rand.Rand, iter int) {
 		Kind:     fault.KindMPK,
 		LeakBufs: r.Intn(3),
 	})
-	w.Server.InjectFaults(in)
-
 	conns := 1 + r.Intn(2)
 	budget := uint64(10_000 + r.Intn(120_000))
-	srvs := make([]*iperf.Server, conns)
-	var srvErr, cliErr error
-	for i := 0; i < conns; i++ {
-		s := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack,
-			uint16(5001+i), iperfOverloadRecv)
-		s.Budget = budget
-		s.Enforce = true
-		s.ProcFactor = iperfProcFactor
-		srvs[i] = s
-		w.Sched.Spawn(fmt.Sprintf("iperf-server-%d", i), w.Server.CPU, func(th *sched.Thread) {
-			if err := s.RunOverload(th); err != nil && srvErr == nil {
-				srvErr = err
-			}
-		})
-		c := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), uint16(5001+i), iperfOverloadBytes, iperfOverloadWrite)
-		w.Sched.Spawn(fmt.Sprintf("iperf-client-%d", i), w.Client.CPU, func(th *sched.Thread) {
-			if err := c.Run(th); err != nil && cliErr == nil {
-				cliErr = err
-			}
-		})
-	}
-	if err := w.Sched.Run(); err != nil {
-		t.Errorf("iter %d: scheduler: %v", iter, err)
-		return
-	}
-	if srvErr != nil || cliErr != nil {
-		t.Errorf("iter %d: server err %v, client err %v", iter, srvErr, cliErr)
+	// Run enforces the complete transfer and zero pool leaks.
+	if _, err := Run(Scenario{Config: cfg, Workload: iperfPairs{conns: conns, budget: budget, enforce: true},
+		Prep: func(w *build.World) { w.Server.InjectFaults(in) }}); err != nil {
+		t.Errorf("iter %d: %v", iter, err)
 		return
 	}
 	if in.Fired() == 0 {
 		t.Errorf("iter %d: injection never fired", iter)
-	}
-	var received uint64
-	for _, s := range srvs {
-		received += s.BytesReceived
-	}
-	if want := uint64(conns) * iperfOverloadBytes; received != want {
-		t.Errorf("iter %d: received %d bytes, want %d", iter, received, want)
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		t.Errorf("iter %d: %v", iter, err)
 	}
 }

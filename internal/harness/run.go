@@ -10,268 +10,135 @@
 // of every paper result (who wins, by roughly what factor, where the
 // crossovers fall) reproduces. Absolute Gb/s differ from the paper's
 // Xeon testbed; EXPERIMENTS.md records both.
+//
+// Every experiment is a loop over Scenarios, and Run is the one place
+// that boots a world, drives a workload on it and checks the run's
+// invariants.
 package harness
 
 import (
+	"errors"
 	"fmt"
 
-	"flexos/internal/app/iperf"
-	"flexos/internal/app/redis"
 	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/metrics"
 	"flexos/internal/net"
-	"flexos/internal/sched"
-	"flexos/internal/trace"
 )
 
-// IperfResult is one iperf measurement.
-type IperfResult struct {
-	Label        string
-	RecvBuf      int
-	Bytes        uint64
-	ServerCycles uint64
-	Gbps         float64
-	Crossings    uint64
-	ByComponent  map[clock.Component]uint64
-	// Attr is the server machine's full cycle-attribution breakdown,
-	// computed from the live clock ledgers (never the trace ring), so
-	// it conserves capacity exactly: Attr.Check() == nil.
+// Scenario is one measured run: the image to boot, the workload to
+// drive against it, and an optional hook on the booted world.
+type Scenario struct {
+	Config   build.Config
+	Workload Workload
+	// Prep runs on the booted world before the workload starts: a
+	// crossing trace, a fault injector, a gate observer.
+	Prep func(*build.World)
+}
+
+// Workload is a load generator driven against the server machine. Its
+// methods are unexported: the harness's workload types (Iperf,
+// IperfParallel, Redis, RedisConns) are the implementations.
+type Workload interface {
+	// sockets is the socket architecture the image is built with.
+	sockets() net.SocketMode
+	// start spawns the workload's threads, which record into r. Run
+	// calls the returned finish once the scheduler drains: it fills r
+	// from the finished applications and returns their errors, server
+	// side first, and an error if any byte or request went missing.
+	start(w *build.World, r *Result) (finish func() (errs []error, incomplete error))
+}
+
+// Result is one run's measurement.
+type Result struct {
+	// World is the finished world, for anything the fields below do
+	// not carry: machines, wire, scheduler and supervisor counters.
+	World *build.World
+	// Attr is the server machine's cycle attribution over the whole
+	// run; Run has checked that it conserves capacity.
 	Attr *metrics.Attribution
+	// Cycles is the server time throughput divides by: the boot vCPU's
+	// cycles, or the machine's makespan for IperfParallel and
+	// RedisConns. Redis measures Cycles, Crossings and ByComponent over
+	// its requests only, excluding connection setup and warmup; the
+	// other workloads over the whole run.
+	Cycles      uint64
+	Crossings   uint64
+	ByComponent map[clock.Component]uint64
+	// Bytes is the payload the server received; Ops the requests it
+	// answered.
+	Bytes, Ops uint64
+	// StreamBytes is each IperfParallel connection's payload, in
+	// accept order.
+	StreamBytes []uint64
+	// Overload accounting of a server with a service budget: work
+	// served within it, served past it and shed (requests for redis;
+	// bytes, and shed drains, for iperf), the -BUSY replies the client
+	// saw, the worst command age and the number of iperf drains.
+	Good, Late, Shed    uint64
+	Busy, MaxAge, Recvs uint64
 }
 
-// RunIperf runs one iperf transfer over a world built from cfg and
-// measures server-side throughput.
-func RunIperf(cfg build.Config, totalBytes, recvBuf int) (*IperfResult, error) {
-	r, _, err := RunIperfTraced(cfg, totalBytes, recvBuf, 0)
-	return r, err
-}
+// Gbps is the received payload over Cycles.
+func (r *Result) Gbps() float64 { return clock.GbpsFor(r.Bytes, r.Cycles) }
 
-// RunIperfTraced is RunIperf with an optional server-side crossing
-// trace holding the last traceCap events (0 disables tracing).
-func RunIperfTraced(cfg build.Config, totalBytes, recvBuf, traceCap int) (*IperfResult, *trace.Ring, error) {
-	r, ring, _, err := runIperfWorld(cfg, totalBytes, recvBuf, traceCap)
-	return r, ring, err
-}
+// KReqPerSec is Ops over Cycles, in thousands per second.
+func (r *Result) KReqPerSec() float64 { return clock.OpsPerSec(r.Ops, r.Cycles) / 1e3 }
 
-// runIperfWorld is the world-returning core of RunIperfTraced, shared
-// with the observability entry points that need the built machines
-// (metrics snapshots, registry counters) alongside the result.
-func runIperfWorld(cfg build.Config, totalBytes, recvBuf, traceCap int) (*IperfResult, *trace.Ring, *build.World, error) {
-	// The evaluation images use the socket API over the tcpip thread,
-	// as Unikraft's lwip port does.
-	cfg.Net.SocketMode = net.TCPIPThreadMode
+// Run boots sc.Config with the workload's socket architecture, drives
+// the workload to completion and enforces the run invariants: no
+// application or scheduler error (application errors first, so a
+// deadlock reports its cause), every byte or request delivered, zero
+// pool leaks on both machines, and cycle attribution that conserves
+// the server's capacity. A run that fails after boot still returns
+// its Result, for callers that classify failures.
+func Run(sc Scenario) (*Result, error) {
+	cfg := sc.Config
+	cfg.Net.SocketMode = sc.Workload.sockets()
 	w, err := build.NewWorld(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	var ring *trace.Ring
-	if traceCap > 0 {
-		ring = w.Server.EnableTracing(traceCap)
+	if sc.Prep != nil {
+		sc.Prep(w)
 	}
-	srv := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf)
-	cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-		w.Server.Stack.IP(), 5001, totalBytes, 32<<10)
-	var srvErr, cliErr error
-	w.Sched.Spawn("iperf-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("iperf-client", w.Client.CPU, func(th *sched.Thread) {
-		cliErr = cli.Run(th)
-	})
-	if err := w.Sched.Run(); err != nil {
-		return nil, nil, nil, fmt.Errorf("harness iperf: %w", err)
+	r := &Result{World: w}
+	finish := sc.Workload.start(w, r)
+	schedErr := w.Sched.Run()
+	errs, incomplete := finish()
+	if err := errors.Join(append(errs, schedErr)...); err != nil {
+		return r, err
 	}
-	if srvErr != nil {
-		return nil, nil, nil, fmt.Errorf("harness iperf server: %w", srvErr)
-	}
-	if cliErr != nil {
-		return nil, nil, nil, fmt.Errorf("harness iperf client: %w", cliErr)
-	}
-	if srv.BytesReceived != uint64(totalBytes) {
-		return nil, nil, nil, fmt.Errorf("harness iperf: received %d of %d bytes", srv.BytesReceived, totalBytes)
+	if incomplete != nil {
+		return r, incomplete
 	}
 	if err := checkPoolLeaks(w); err != nil {
-		return nil, nil, nil, err
+		return r, err
 	}
-	cycles := w.Server.CPU.Cycles()
-	return &IperfResult{
-		Label:        cfg.Name,
-		RecvBuf:      recvBuf,
-		Bytes:        srv.BytesReceived,
-		ServerCycles: cycles,
-		Gbps:         clock.GbpsFor(srv.BytesReceived, cycles),
-		Crossings:    w.Server.Registry.TotalCrossings(),
-		ByComponent:  w.Server.CPU.ByComponent(),
-		Attr:         w.Server.Attribution(),
-	}, ring, w, nil
+	r.Attr = w.Server.Attribution()
+	return r, r.Attr.Check()
 }
 
 // checkPoolLeaks enforces the shared pool's zero-leak invariant on
 // both machines after a run: every buffer handed out by BufAlloc or
 // the stack's rx path must have been released, with no pins left.
 func checkPoolLeaks(w *build.World) error {
-	for _, m := range []struct {
-		role string
-		mach *build.Machine
-	}{{"server", w.Server}, {"client", w.Client}} {
-		p := m.mach.Pool
-		if p == nil {
-			continue
-		}
-		if bufs, refs := p.Outstanding(), p.OutstandingRefs(); bufs != 0 || refs != 0 {
-			return fmt.Errorf("harness: %s pool leak: %d buffers, %d refs outstanding", m.role, bufs, refs)
+	for _, m := range []*build.Machine{w.Server, w.Client} {
+		if bufs, refs := m.Pool.Outstanding(), m.Pool.OutstandingRefs(); bufs != 0 || refs != 0 {
+			role := "server"
+			if m == w.Client {
+				role = "client"
+			}
+			return fmt.Errorf("harness: %s pool leak: %d buffers, %d refs outstanding", role, bufs, refs)
 		}
 	}
 	return nil
 }
 
-// RedisOp selects the measured Redis operation.
-type RedisOp string
-
-// Measured operations.
-const (
-	OpSET RedisOp = "SET"
-	OpGET RedisOp = "GET"
-)
-
-// RedisResult is one Redis measurement.
-type RedisResult struct {
-	Label        string
-	Op           RedisOp
-	PayloadBytes int
-	Ops          uint64
-	ServerCycles uint64 // cycles spent on the measured ops only
-	KReqPerSec   float64
-	Crossings    uint64
-	// ByComponent is the measured window's server-side cycle delta per
-	// clock component — the same exclusion of warmup as ServerCycles.
-	ByComponent map[clock.Component]uint64
-}
-
-// RedisPipeline is the pipelining depth of the benchmark client
-// (redis-benchmark -P): requests are issued in batches and replies
-// stream back through the server's output buffer, which is what pushes
-// per-request cost into the range where isolation and hardening
-// overheads are visible (the paper reports ~Mreq/s figures).
-const RedisPipeline = 8
-
-// RunRedis measures ops requests of the given kind against a server
-// built from cfg. Warmup (connection setup plus priming SETs) is
-// excluded exactly: the snapshot is taken while the server is parked
-// between requests, which virtual time makes precise.
-func RunRedis(cfg build.Config, op RedisOp, payloadBytes, ops int) (*RedisResult, error) {
-	return runRedis(cfg, op, payloadBytes, ops, nil)
-}
-
-// RunRedisWithMode is RunRedis with an explicit socket mode (0 direct,
-// 1 tcpip-thread), for the socket-architecture ablation.
-func RunRedisWithMode(cfg build.Config, op RedisOp, payloadBytes, ops int, mode net.SocketMode) (*RedisResult, error) {
-	return runRedisMode(cfg, op, payloadBytes, ops, mode, nil)
-}
-
-// runRedis implements RunRedis with an optional prep hook invoked on
-// the built world before the workload starts (observers, tracers).
-func runRedis(cfg build.Config, op RedisOp, payloadBytes, ops int, prep func(*build.World)) (*RedisResult, error) {
-	return runRedisMode(cfg, op, payloadBytes, ops, net.TCPIPThreadMode, prep)
-}
-
-func runRedisMode(cfg build.Config, op RedisOp, payloadBytes, ops int, mode net.SocketMode, prep func(*build.World)) (*RedisResult, error) {
-	cfg.Net.SocketMode = mode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
+// delivered reports a short transfer or request count.
+func delivered(what string, got uint64, want int) error {
+	if got != uint64(want) {
+		return fmt.Errorf("harness: %s %d of %d", what, got, want)
 	}
-	if prep != nil {
-		prep(w)
-	}
-	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-	var srvErr, cliErr error
-	res := &RedisResult{Label: cfg.Name, Op: op, PayloadBytes: payloadBytes, Ops: uint64(ops)}
-	payload := make([]byte, payloadBytes)
-	for i := range payload {
-		payload[i] = 'a' + byte(i%26)
-	}
-	w.Sched.Spawn("redis-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("redis-client", w.Client.CPU, func(th *sched.Thread) {
-		c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), 6379)
-		if cliErr = c.Connect(th); cliErr != nil {
-			return
-		}
-		// Warmup: prime the keyspace (and the connection).
-		const keys = 16
-		for i := 0; i < keys; i++ {
-			if cliErr = c.Set(th, fmt.Sprintf("key:%d", i), payload); cliErr != nil {
-				return
-			}
-		}
-		startCycles := w.Server.CPU.Cycles()
-		startCross := w.Server.Registry.TotalCrossings()
-		startBy := w.Server.CPU.ByComponent()
-		issued := 0
-		for issued < ops {
-			batch := RedisPipeline
-			if batch > ops-issued {
-				batch = ops - issued
-			}
-			cmds := make([][][]byte, 0, batch)
-			for i := 0; i < batch; i++ {
-				key := []byte(fmt.Sprintf("key:%d", (issued+i)%keys))
-				switch op {
-				case OpSET:
-					cmds = append(cmds, [][]byte{[]byte("SET"), key, payload})
-				case OpGET:
-					cmds = append(cmds, [][]byte{[]byte("GET"), key})
-				default:
-					cliErr = fmt.Errorf("harness redis: unknown op %q", op)
-					return
-				}
-			}
-			replies, err := c.DoPipelined(th, cmds)
-			if err != nil {
-				cliErr = err
-				return
-			}
-			for _, r := range replies {
-				if len(r) == 0 || r[0] == '-' {
-					cliErr = fmt.Errorf("harness redis: error reply %q", r)
-					return
-				}
-			}
-			issued += batch
-		}
-		res.ServerCycles = w.Server.CPU.Cycles() - startCycles
-		res.Crossings = w.Server.Registry.TotalCrossings() - startCross
-		res.ByComponent = componentDelta(startBy, w.Server.CPU.ByComponent())
-		cliErr = c.Close(th)
-	})
-	if err := w.Sched.Run(); err != nil {
-		return nil, fmt.Errorf("harness redis: %w", err)
-	}
-	if srvErr != nil {
-		return nil, fmt.Errorf("harness redis server: %w", srvErr)
-	}
-	if cliErr != nil {
-		return nil, fmt.Errorf("harness redis client: %w", cliErr)
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, err
-	}
-	res.KReqPerSec = clock.OpsPerSec(res.Ops, res.ServerCycles) / 1e3
-	return res, nil
-}
-
-// componentDelta subtracts two per-component cycle snapshots, keeping
-// only the components that advanced during the window.
-func componentDelta(start, end map[clock.Component]uint64) map[clock.Component]uint64 {
-	out := make(map[clock.Component]uint64, len(end))
-	for comp, v := range end {
-		if d := v - start[comp]; d > 0 {
-			out[comp] = d
-		}
-	}
-	return out
+	return nil
 }

@@ -43,8 +43,6 @@ type NIC struct {
 	stack *Stack
 	peer  *NIC
 	wire  *Wire
-	txCnt uint64
-	rxCnt uint64
 	qTx   []uint64 // per-queue tx frame counts
 	qRx   []uint64 // per-queue rx frame counts
 	// Coalescing counters for the observability layer: frames charged
@@ -58,12 +56,6 @@ type NIC struct {
 	doorbells uint64
 	rxPolls   uint64
 }
-
-// TxCount reports frames transmitted.
-func (n *NIC) TxCount() uint64 { return n.txCnt }
-
-// RxCount reports frames received (after filtering).
-func (n *NIC) RxCount() uint64 { return n.rxCnt }
 
 // QueueTx reports frames transmitted on ring q.
 func (n *NIC) QueueTx(q int) uint64 {
@@ -109,16 +101,10 @@ func (n *NIC) Wire() *Wire { return n.wire }
 // RxPolls reports NAPI rx polls (each paying one interrupt cost).
 func (n *NIC) RxPolls() uint64 { return n.rxPolls }
 
-// countTx / countRx bump the total and per-queue frame counters.
-func (n *NIC) countTx(q int) {
-	n.txCnt++
-	n.qTx[q]++
-}
+// countTx / countRx bump the per-queue frame counters.
+func (n *NIC) countTx(q int) { n.qTx[q]++ }
 
-func (n *NIC) countRx(q int) {
-	n.rxCnt++
-	n.qRx[q]++
-}
+func (n *NIC) countRx(q int) { n.qRx[q]++ }
 
 // Dir selects one direction of a Wire: AtoB carries frames transmitted
 // by the first stack handed to Connect, BtoA the reverse path.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -674,5 +675,22 @@ func TestCloseListenerFreesPort(t *testing.T) {
 	}
 	if _, err := server.stack.Listen(8080, 2); err != nil {
 		t.Fatalf("rebind after close: %v", err)
+	}
+}
+
+// TestStatsAddSumsEveryField sets field i of one operand to i+1 and of
+// the other to 100·(i+1): a field Add forgets shows up as a wrong sum.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	sum := reflect.ValueOf(a.Add(b))
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("%s: sum %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -73,11 +73,9 @@ func (st *Stack) frameQueue(frame []byte) int {
 	return rssFold(srcIP, dstIP, sp, dp, st.numQueues)
 }
 
-// QueueOf reports the NIC queue a connected socket's flow is steered
+// queueOf reports the NIC queue a connected socket's flow is steered
 // to — the queue (and so the vCPU) on which its rx processing runs.
-// Applications use it to place a connection's worker thread on the
-// same vCPU its data arrives on.
-func (st *Stack) QueueOf(s *Socket) int {
+func (st *Stack) queueOf(s *Socket) int {
 	if st.numQueues <= 1 {
 		return 0
 	}
@@ -85,8 +83,9 @@ func (st *Stack) QueueOf(s *Socket) int {
 }
 
 // QueueCPUOf reports the vCPU a connected socket's rx processing is
-// steered to: queueCPUFor(QueueOf(s)).
-func (st *Stack) QueueCPUOf(s *Socket) int { return st.queueCPUFor(st.QueueOf(s)) }
+// steered to. Applications use it to place a connection's worker
+// thread on the same vCPU its data arrives on.
+func (st *Stack) QueueCPUOf(s *Socket) int { return st.queueCPUFor(st.queueOf(s)) }
 
 // spawnCPU resolves a vCPU id to the concrete vCPU threads are spawned
 // on: vCPU id of the stack's machine, or the standalone CPU itself

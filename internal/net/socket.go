@@ -183,9 +183,6 @@ func (s *Socket) State() string { return s.state.String() }
 // LocalPort reports the bound local port.
 func (s *Socket) LocalPort() uint16 { return s.localPort }
 
-// RemoteAddr reports the peer address.
-func (s *Socket) RemoteAddr() (IPAddr, uint16) { return s.remoteIP, s.remotePort }
-
 // Err reports a fatal socket error (reset), if any.
 func (s *Socket) Err() error { return s.sockErr }
 

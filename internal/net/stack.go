@@ -52,6 +52,30 @@ type Stats struct {
 	NetDeaths uint64
 }
 
+// Add returns the field-wise sum of two stacks' counters, so summed
+// stats keep every per-stack relation (ChecksumDrops within DroppedIn,
+// FastRetransmits within Retransmits).
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		SegsIn:          s.SegsIn + o.SegsIn,
+		SegsOut:         s.SegsOut + o.SegsOut,
+		BytesIn:         s.BytesIn + o.BytesIn,
+		BytesOut:        s.BytesOut + o.BytesOut,
+		Retransmits:     s.Retransmits + o.Retransmits,
+		DroppedIn:       s.DroppedIn + o.DroppedIn,
+		DroppedOut:      s.DroppedOut + o.DroppedOut,
+		RSTsOut:         s.RSTsOut + o.RSTsOut,
+		TxDoorbells:     s.TxDoorbells + o.TxDoorbells,
+		AcksElided:      s.AcksElided + o.AcksElided,
+		FastRetransmits: s.FastRetransmits + o.FastRetransmits,
+		ChecksumDrops:   s.ChecksumDrops + o.ChecksumDrops,
+		OOOQueued:       s.OOOQueued + o.OOOQueued,
+		ZeroWndProbes:   s.ZeroWndProbes + o.ZeroWndProbes,
+		KeepaliveProbes: s.KeepaliveProbes + o.KeepaliveProbes,
+		NetDeaths:       s.NetDeaths + o.NetDeaths,
+	}
+}
+
 // connKey demultiplexes established connections.
 type connKey struct {
 	localPort  uint16

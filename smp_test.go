@@ -7,6 +7,7 @@ import (
 	"flexos/internal/core/gate"
 	"flexos/internal/harness"
 	flexnet "flexos/internal/net"
+	"flexos/internal/trace"
 )
 
 // --- SMP: N-vCPU scaling of the parallel iperf workload ---------------
@@ -47,7 +48,7 @@ func BenchmarkSmp(b *testing.B) {
 // near-linearly — at least 1.7x at 2 vCPUs and 3x at 4 vCPUs over the
 // 1-vCPU run — and the VM-RPC image shows measurable serialization
 // behind its single VMM endpoint. Pool-leak accounting is enforced
-// inside every RunIperfParallel the sweep performs.
+// inside every run the sweep performs.
 func TestSmpScaling(t *testing.T) {
 	res, err := harness.Smp(true)
 	if err != nil {
@@ -108,8 +109,11 @@ func TestSmpScaling(t *testing.T) {
 func TestSmpDeterminism(t *testing.T) {
 	cfg := build.Config{Name: "smp-det", Compartments: build.NWOnly(),
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, Smp: 4}
-	run := func() (*harness.SmpRun, []string) {
-		r, ring, err := harness.RunIperfParallelTraced(cfg, 8, 2<<20, 16<<10, 4096)
+	run := func() (*harness.Result, []string) {
+		var ring *trace.Ring
+		r, err := harness.Run(harness.Scenario{Config: cfg,
+			Workload: harness.IperfParallel{Streams: 8, Bytes: 2 << 20, RecvBuf: 16 << 10},
+			Prep:     func(w *build.World) { ring = w.Server.EnableTracing(4096) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +125,12 @@ func TestSmpDeterminism(t *testing.T) {
 	}
 	a, ea := run()
 	b, eb := run()
-	if a.Makespan != b.Makespan {
-		t.Errorf("makespan drifted: %d vs %d", a.Makespan, b.Makespan)
+	if a.Cycles != b.Cycles {
+		t.Errorf("makespan drifted: %d vs %d", a.Cycles, b.Cycles)
 	}
-	for i := range a.PerCPU {
-		if a.PerCPU[i] != b.PerCPU[i] {
-			t.Errorf("cpu%d cycles drifted: %d vs %d", i, a.PerCPU[i], b.PerCPU[i])
+	for i, ca := range perCPU(a) {
+		if cb := perCPU(b)[i]; ca != cb {
+			t.Errorf("cpu%d cycles drifted: %d vs %d", i, ca, cb)
 		}
 	}
 	for i := range a.StreamBytes {
@@ -134,9 +138,9 @@ func TestSmpDeterminism(t *testing.T) {
 			t.Errorf("stream %d bytes drifted: %d vs %d", i, a.StreamBytes[i], b.StreamBytes[i])
 		}
 	}
-	if a.Steals != b.Steals || a.IPIs != b.IPIs {
+	if sa, sb := a.World.Sched, b.World.Sched; sa.Steals() != sb.Steals() || sa.IPIs() != sb.IPIs() {
 		t.Errorf("scheduler events drifted: steals %d vs %d, ipis %d vs %d",
-			a.Steals, b.Steals, a.IPIs, b.IPIs)
+			sa.Steals(), sb.Steals(), sa.IPIs(), sb.IPIs())
 	}
 	if len(ea) != len(eb) {
 		t.Fatalf("trace length drifted: %d vs %d events", len(ea), len(eb))
@@ -154,12 +158,12 @@ func TestSmpDeterminism(t *testing.T) {
 func TestSmpRSSSpread(t *testing.T) {
 	cfg := build.Config{Name: "smp-rss", Compartments: build.NWOnly(),
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, Smp: 4}
-	r, err := harness.RunIperfParallel(cfg, 8, 2<<20, 16<<10)
+	r, err := runParallel(cfg, 8, 2<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var min, max uint64
-	for i, c := range r.PerCPU {
+	for i, c := range perCPU(r) {
 		if i == 0 || c < min {
 			min = c
 		}
@@ -168,10 +172,10 @@ func TestSmpRSSSpread(t *testing.T) {
 		}
 	}
 	if min == 0 {
-		t.Fatalf("a vCPU did no work: per-CPU cycles %v", r.PerCPU)
+		t.Fatalf("a vCPU did no work: per-CPU cycles %v", perCPU(r))
 	}
 	if float64(max) > 1.5*float64(min) {
-		t.Errorf("unbalanced RSS spread: per-CPU cycles %v (max > 1.5x min)", r.PerCPU)
+		t.Errorf("unbalanced RSS spread: per-CPU cycles %v (max > 1.5x min)", perCPU(r))
 	}
 }
 
@@ -187,12 +191,12 @@ func TestSmpConfigfileRun(t *testing.T) {
 	if cfg.Smp != 2 {
 		t.Fatalf("smp directive parsed to %d", cfg.Smp)
 	}
-	r, err := harness.RunIperfParallel(cfg, 4, 1<<20, 16<<10)
+	r, err := runParallel(cfg, 4, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.VCPUs != 2 {
-		t.Fatalf("smp directive ignored: %d vCPUs", r.VCPUs)
+	if n := r.World.Server.Clock.NCPU(); n != 2 {
+		t.Fatalf("smp directive ignored: %d vCPUs", n)
 	}
 	if r.Bytes != 1<<20 {
 		t.Fatalf("transferred %d of %d bytes", r.Bytes, 1<<20)
@@ -207,18 +211,18 @@ func TestSmpSingleQueueUnchanged(t *testing.T) {
 	cfg := build.Config{Name: "smp-n1", Compartments: build.NWOnly(),
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment}
 	cfg.Net.SocketMode = flexnet.DirectMode
-	r, err := harness.RunIperfParallel(cfg, 4, 1<<20, 16<<10)
+	r, err := runParallel(cfg, 4, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.VCPUs != 1 {
-		t.Fatalf("default config built %d vCPUs", r.VCPUs)
+	if n := r.World.Server.Clock.NCPU(); n != 1 {
+		t.Fatalf("default config built %d vCPUs", n)
 	}
-	if r.Steals != 0 || r.IPIs != 0 {
-		t.Fatalf("single-core run recorded %d steals, %d IPIs", r.Steals, r.IPIs)
+	if s := r.World.Sched; s.Steals() != 0 || s.IPIs() != 0 {
+		t.Fatalf("single-core run recorded %d steals, %d IPIs", s.Steals(), s.IPIs())
 	}
-	if len(r.PerCPU) != 1 || r.PerCPU[0] != r.Makespan {
-		t.Fatalf("1-vCPU makespan %d != cpu0 cycles %v", r.Makespan, r.PerCPU)
+	if cpus := perCPU(r); len(cpus) != 1 || cpus[0] != r.Cycles {
+		t.Fatalf("1-vCPU makespan %d != cpu0 cycles %v", r.Cycles, cpus)
 	}
 }
 
@@ -238,32 +242,48 @@ func TestSmpRedisParallel(t *testing.T) {
 		Backend:      gate.MPKShared,
 		Alloc:        build.AllocPerCompartment,
 	}
-	uni, err := harness.RunRedisParallel(base, conns, opsPerConn, payload)
+	load := harness.RedisConns{Conns: conns, Ops: opsPerConn, Payload: payload}
+	uni, err := harness.Run(harness.Scenario{Config: base, Workload: load})
 	if err != nil {
 		t.Fatal(err)
 	}
 	smp := base
 	smp.Smp = 4
-	par, err := harness.RunRedisParallel(smp, conns, opsPerConn, payload)
+	par, err := harness.Run(harness.Scenario{Config: smp, Workload: load})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*harness.SmpRedisRun{uni, par} {
+	for _, r := range []*harness.Result{uni, par} {
 		if want := uint64(conns * opsPerConn); r.Ops != want {
-			t.Fatalf("%d vCPUs: executed %d commands, want %d", r.VCPUs, r.Ops, want)
+			t.Fatalf("executed %d commands, want %d", r.Ops, want)
 		}
 	}
-	if uni.VCPUs != 1 || par.VCPUs != 4 {
-		t.Fatalf("vCPU counts = %d/%d, want 1/4", uni.VCPUs, par.VCPUs)
+	if nu, np := uni.World.Server.Clock.NCPU(), par.World.Server.Clock.NCPU(); nu != 1 || np != 4 {
+		t.Fatalf("vCPU counts = %d/%d, want 1/4", nu, np)
 	}
-	for i, c := range par.PerCPU {
+	for i, c := range perCPU(par) {
 		if c == 0 {
-			t.Fatalf("vCPU %d idle: RSS left a queue's core unused (per-cpu %v)", i, par.PerCPU)
+			t.Fatalf("vCPU %d idle: RSS left a queue's core unused (per-cpu %v)", i, perCPU(par))
 		}
 	}
-	speedup := float64(uni.Makespan) / float64(par.Makespan)
+	speedup := float64(uni.Cycles) / float64(par.Cycles)
 	if speedup < 1.7 {
 		t.Fatalf("4-vCPU redis speedup = %.2fx (makespan %d -> %d), want >= 1.7x",
-			speedup, uni.Makespan, par.Makespan)
+			speedup, uni.Cycles, par.Cycles)
 	}
+}
+
+// runParallel drives an iperf -P transfer through harness.Run.
+func runParallel(cfg build.Config, streams, total int) (*harness.Result, error) {
+	return harness.Run(harness.Scenario{Config: cfg,
+		Workload: harness.IperfParallel{Streams: streams, Bytes: total, RecvBuf: 16 << 10}})
+}
+
+// perCPU is each server vCPU's cycle counter at the end of a run.
+func perCPU(r *harness.Result) []uint64 {
+	var out []uint64
+	for _, cpu := range r.World.Server.Clock.CPUs() {
+		out = append(out, cpu.Cycles())
+	}
+	return out
 }
