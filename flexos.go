@@ -220,7 +220,6 @@ type (
 	Iperf         = harness.Iperf
 	IperfParallel = harness.IperfParallel
 	Redis         = harness.Redis
-	RedisConns    = harness.RedisConns
 	RedisOp       = harness.RedisOp
 )
 

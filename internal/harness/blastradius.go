@@ -63,19 +63,6 @@ type blastScenario struct {
 	inject   fault.Injection
 }
 
-// kindFor picks the trap flavour the backend would raise for a wild
-// write inside the faulted compartment.
-func kindFor(b gate.Backend) fault.Kind {
-	switch b {
-	case gate.MPKShared, gate.MPKSwitched:
-		return fault.KindMPK
-	case gate.CHERI:
-		return fault.KindCHERI
-	default:
-		return fault.KindInjected
-	}
-}
-
 // lcIsolated is the {libc | rest} model used by the Redis rows: the
 // store's bulk value path crosses into the libc compartment on every
 // memcpy, which is where the fault is injected.
@@ -242,6 +229,6 @@ func (wl redisStore) start(w *build.World, r *Result) func() ([]error, error) {
 	})
 	return func() ([]error, error) {
 		r.Ops = srv.Commands
-		return []error{srvErr, cliErr}, delivered("executed commands", r.Ops, wl.ops)
+		return []error{srvErr, cliErr}, delivered(r.Ops, wl.ops, "commands executed")
 	}
 }

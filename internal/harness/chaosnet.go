@@ -54,8 +54,8 @@ type ChaosnetResult struct {
 	Series []ChaosnetSeries
 }
 
-// ChaosnetLosses is the swept per-direction frame-drop rates.
-func ChaosnetLosses(quick bool) []float64 {
+// chaosnetLosses is the swept per-direction frame-drop rates.
+func chaosnetLosses(quick bool) []float64 {
 	if quick {
 		return []float64{0, 0.01}
 	}
@@ -90,7 +90,7 @@ func Chaosnet(quick bool) (*ChaosnetResult, error) {
 		total   = 2 << 20
 		recvBuf = 16 << 10
 	)
-	losses := ChaosnetLosses(quick)
+	losses := chaosnetLosses(quick)
 	configs := nwOnlyImages()
 	if quick {
 		configs = configs[1:2] // MPK-shared carries the gate

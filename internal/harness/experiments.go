@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"flexos/internal/clock"
 	"flexos/internal/core/build"
@@ -63,8 +64,8 @@ func fig3Configs() []build.Config {
 	}
 }
 
-// Fig3Sizes is the recv-buffer sweep (2^6 .. 2^20).
-func Fig3Sizes(quick bool) []int {
+// fig3Sizes is the recv-buffer sweep (2^6 .. 2^20).
+func fig3Sizes(quick bool) []int {
 	var sizes []int
 	step := 2
 	if quick {
@@ -84,7 +85,7 @@ func sweepIperf(recvBuf int) Iperf {
 
 // Fig3 runs the sweep. quick thins the sweep for tests.
 func Fig3(quick bool) (*Fig3Result, error) {
-	sizes := Fig3Sizes(quick)
+	sizes := fig3Sizes(quick)
 	out := &Fig3Result{}
 	for _, cfg := range fig3Configs() {
 		s := Fig3Series{Label: cfg.Name}
@@ -151,19 +152,11 @@ func Table1() (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := map[string]bool{}
-	for _, l := range build.DefaultLibraries {
-		all[l] = true
-	}
 	out := &Table1Result{BaselineGbps: baseline}
 	for _, g := range table1Groups {
-		inGroup := map[string]bool{}
-		for _, l := range g.libs {
-			inGroup[l] = true
-		}
 		var complement []string
-		for l := range all {
-			if !inGroup[l] {
+		for _, l := range build.DefaultLibraries {
+			if !slices.Contains(g.libs, l) {
 				complement = append(complement, l)
 			}
 		}
@@ -361,8 +354,8 @@ type DataPathResult struct {
 	Points []DataPathPoint
 }
 
-// DataPathSizes is the recv-buffer sweep of the data-path experiment.
-func DataPathSizes(quick bool) []int {
+// dataPathSizes is the recv-buffer sweep of the data-path experiment.
+func dataPathSizes(quick bool) []int {
 	if quick {
 		return []int{16 << 10}
 	}
@@ -376,7 +369,7 @@ func DataPath(quick bool) (*DataPathResult, error) {
 	base := build.Config{Name: "MPK-Sha. NW-only", Compartments: build.NWOnly(),
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment}
 	out := &DataPathResult{Label: base.Name}
-	for _, size := range DataPathSizes(quick) {
+	for _, size := range dataPathSizes(quick) {
 		run := func(dp net.DataPath) (*Result, error) {
 			cfg := base
 			cfg.DataPath = dp
@@ -435,8 +428,8 @@ type BatchingResult struct {
 	Series []BatchingSeries
 }
 
-// BatchingDepths is the depth sweep of the batching experiment.
-func BatchingDepths(quick bool) []int {
+// batchingDepths is the depth sweep of the batching experiment.
+func batchingDepths(quick bool) []int {
 	if quick {
 		return []int{1, 16}
 	}
@@ -467,7 +460,7 @@ func Batching(quick bool) (*BatchingResult, error) {
 		total   = 2 << 20
 		recvBuf = 16 << 10
 	)
-	out := &BatchingResult{Depths: BatchingDepths(quick)}
+	out := &BatchingResult{Depths: batchingDepths(quick)}
 	for _, base := range batchingConfigs() {
 		s := BatchingSeries{Label: base.Name, Backend: base.Backend}
 		for _, depth := range out.Depths {

@@ -49,7 +49,7 @@ func ObserveFor(exp string, quick bool) ([]Observation, error) {
 	}
 	var runs []observed
 	if exp == "smp" {
-		vcpus := SmpVCPUs(quick)
+		vcpus := smpVCPUs(quick)
 		n := vcpus[len(vcpus)-1]
 		for _, base := range nwOnlyImages() {
 			runs = append(runs, observed{fmt.Sprintf("%s @%d vCPUs", base.Name, n), smpScenario(base, n)})

@@ -197,7 +197,7 @@ func (wl iperfPairs) start(w *build.World, r *Result) func() ([]error, error) {
 			r.Shed += s.Sheds
 			r.Recvs += s.Recvs
 		}
-		return errs, delivered("received bytes", r.Bytes, wl.conns*iperfOverloadBytes)
+		return errs, delivered(r.Bytes, wl.conns*iperfOverloadBytes, "bytes received")
 	}
 }
 

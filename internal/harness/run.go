@@ -135,10 +135,11 @@ func checkPoolLeaks(w *build.World) error {
 	return nil
 }
 
-// delivered reports a short transfer or request count.
-func delivered(what string, got uint64, want int) error {
+// delivered reports a short transfer or request count: got of want
+// units (say, "bytes received").
+func delivered(got uint64, want int, units string) error {
 	if got != uint64(want) {
-		return fmt.Errorf("harness: %s %d of %d", what, got, want)
+		return fmt.Errorf("harness: %d of %d %s", got, want, units)
 	}
 	return nil
 }

@@ -47,17 +47,17 @@ type SmpResult struct {
 	Series  []SmpSeries
 }
 
-// SmpVCPUs is the vCPU sweep (quick thins it for tests and CI smoke,
+// smpVCPUs is the vCPU sweep (quick thins it for tests and CI smoke,
 // keeping the 1/2/4 points the acceptance bars pin).
-func SmpVCPUs(quick bool) []int {
+func smpVCPUs(quick bool) []int {
 	if quick {
 		return []int{1, 2, 4}
 	}
 	return []int{1, 2, 4, 8}
 }
 
-// SmpStreams is the parallel-connection count (iperf -P 8).
-const SmpStreams = 8
+// smpStreams is the parallel-connection count (iperf -P 8).
+const smpStreams = 8
 
 // nwOnlyImages are the NW-only plan under a free gate, the MPK-shared
 // gate (per-vCPU PKRU) and the VM-RPC gate: the SMP and chaosnet
@@ -79,12 +79,12 @@ func smpScenario(base build.Config, n int) Scenario {
 	if n > 1 {
 		base.Smp = n
 	}
-	return Scenario{Config: base, Workload: IperfParallel{Streams: SmpStreams, Bytes: 8 << 20, RecvBuf: 16 << 10}}
+	return Scenario{Config: base, Workload: IperfParallel{Streams: smpStreams, Bytes: 8 << 20, RecvBuf: 16 << 10}}
 }
 
 // Smp runs the scaling sweep. quick thins the vCPU list.
 func Smp(quick bool) (*SmpResult, error) {
-	out := &SmpResult{Streams: SmpStreams, VCPUs: SmpVCPUs(quick)}
+	out := &SmpResult{Streams: smpStreams, VCPUs: smpVCPUs(quick)}
 	for _, base := range nwOnlyImages() {
 		s := SmpSeries{Label: base.Name, Backend: base.Backend}
 		for _, n := range out.VCPUs {

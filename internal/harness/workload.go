@@ -40,7 +40,7 @@ func (wl Iperf) start(w *build.World, r *Result) func() ([]error, error) {
 		r.Cycles = w.Server.CPU.Cycles()
 		r.Crossings = w.Server.Registry.TotalCrossings()
 		r.ByComponent = w.Server.CPU.ByComponent()
-		return []error{srvErr, cliErr}, delivered("received bytes", r.Bytes, wl.Bytes)
+		return []error{srvErr, cliErr}, delivered(r.Bytes, wl.Bytes, "bytes received")
 	}
 }
 
@@ -83,7 +83,7 @@ func (wl IperfParallel) start(w *build.World, r *Result) func() ([]error, error)
 			r.StreamBytes = srv.StreamBytes()
 		}
 		r.Cycles = w.Server.Cycles()
-		return errs, delivered("received bytes", r.Bytes, perStream*streams)
+		return errs, delivered(r.Bytes, perStream*streams, "bytes received")
 	}
 }
 
@@ -204,7 +204,7 @@ func (wl Redis) start(w *build.World, r *Result) func() ([]error, error) {
 		cliErr = c.Close(th)
 	})
 	return func() ([]error, error) {
-		return []error{srvErr, cliErr}, delivered("answered requests", r.Ops, wl.Ops)
+		return []error{srvErr, cliErr}, delivered(r.Ops, wl.Ops, "requests answered")
 	}
 }
 
@@ -266,7 +266,7 @@ func (wl RedisConns) start(w *build.World, r *Result) func() ([]error, error) {
 	return func() ([]error, error) {
 		r.Ops = srv.Commands
 		r.Cycles = w.Server.Cycles()
-		return errs, delivered("executed commands", r.Ops, conns*wl.Ops)
+		return errs, delivered(r.Ops, conns*wl.Ops, "commands executed")
 	}
 }
 
