@@ -47,20 +47,23 @@ type Fig3Result struct {
 	Series []Fig3Series
 }
 
+// nwOnly is the {netstack | rest} image of the evaluation under the
+// given gate and platform, with one allocator per compartment.
+func nwOnly(name string, b gate.Backend, p net.Platform) build.Config {
+	return build.Config{Name: name, Compartments: build.NWOnly(), Backend: b,
+		Alloc: build.AllocPerCompartment, Platform: p}
+}
+
 // fig3Configs are the six configurations of the paper's figure.
 func fig3Configs() []build.Config {
 	return []build.Config{
 		{Name: "KVM Baseline"},
-		{Name: "CHERI (KVM)", Compartments: build.NWOnly(),
-			Backend: gate.CHERI, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sha. (KVM)", Compartments: build.NWOnly(),
-			Backend: gate.MPKShared, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sw. (KVM)", Compartments: build.NWOnly(),
-			Backend: gate.MPKSwitched, Alloc: build.AllocPerCompartment},
+		nwOnly("CHERI (KVM)", gate.CHERI, net.KVM),
+		nwOnly("MPK-Sha. (KVM)", gate.MPKShared, net.KVM),
+		nwOnly("MPK-Sw. (KVM)", gate.MPKSwitched, net.KVM),
 		{Name: "SH (KVM)", SH: shAll("netstack"), Alloc: build.AllocPerLibrary},
 		{Name: "Xen Baseline", Platform: net.Xen},
-		{Name: "VM RPC (Xen)", Compartments: build.NWOnly(), Platform: net.Xen,
-			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
+		nwOnly("VM RPC (Xen)", gate.VMRPC, net.Xen),
 	}
 }
 
@@ -366,8 +369,7 @@ func dataPathSizes(quick bool) []int {
 // image run with shared-window descriptors and with per-boundary
 // copies, throughput attributed per component.
 func DataPath(quick bool) (*DataPathResult, error) {
-	base := build.Config{Name: "MPK-Sha. NW-only", Compartments: build.NWOnly(),
-		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment}
+	base := nwOnly("MPK-Sha. NW-only", gate.MPKShared, net.KVM)
 	out := &DataPathResult{Label: base.Name}
 	for _, size := range dataPathSizes(quick) {
 		run := func(dp net.DataPath) (*Result, error) {
@@ -440,12 +442,9 @@ func batchingDepths(quick bool) []int {
 // free gate, the expensive MPK-switched gate, and the VM-RPC gate.
 func batchingConfigs() []build.Config {
 	return []build.Config{
-		{Name: "Direct NW-only", Compartments: build.NWOnly(),
-			Backend: gate.FuncCall, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sw. NW-only", Compartments: build.NWOnly(),
-			Backend: gate.MPKSwitched, Alloc: build.AllocPerCompartment},
-		{Name: "VM RPC NW-only", Compartments: build.NWOnly(), Platform: net.Xen,
-			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
+		nwOnly("Direct NW-only", gate.FuncCall, net.KVM),
+		nwOnly("MPK-Sw. NW-only", gate.MPKSwitched, net.KVM),
+		nwOnly("VM RPC NW-only", gate.VMRPC, net.Xen),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
 	"flexos/internal/metrics"
+	"flexos/internal/net"
 	"flexos/internal/trace"
 )
 
@@ -61,8 +62,7 @@ func ObserveFor(exp string, quick bool) ([]Observation, error) {
 			total = 256 << 10
 		}
 		for _, b := range []gate.Backend{gate.FuncCall, gate.MPKShared, gate.MPKSwitched, gate.VMRPC, gate.CHERI} {
-			cfg := build.Config{Name: b.String() + " NW-only", Compartments: build.NWOnly(),
-				Backend: b, Alloc: build.AllocPerCompartment}
+			cfg := nwOnly(b.String()+" NW-only", b, net.KVM)
 			runs = append(runs, observed{cfg.Name, Scenario{Config: cfg, Workload: Iperf{Bytes: total, RecvBuf: 16 << 10}}})
 		}
 	}

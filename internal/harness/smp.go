@@ -64,12 +64,9 @@ const smpStreams = 8
 // sweeps' images.
 func nwOnlyImages() []build.Config {
 	return []build.Config{
-		{Name: "Direct NW-only", Compartments: build.NWOnly(),
-			Backend: gate.FuncCall, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sha. NW-only", Compartments: build.NWOnly(),
-			Backend: gate.MPKShared, Alloc: build.AllocPerCompartment},
-		{Name: "VM RPC NW-only", Compartments: build.NWOnly(), Platform: net.Xen,
-			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
+		nwOnly("Direct NW-only", gate.FuncCall, net.KVM),
+		nwOnly("MPK-Sha. NW-only", gate.MPKShared, net.KVM),
+		nwOnly("VM RPC NW-only", gate.VMRPC, net.Xen),
 	}
 }
 
