@@ -55,13 +55,15 @@ type Result struct {
 	// not carry: machines, wire, scheduler and supervisor counters.
 	World *build.World
 	// Attr is the server machine's cycle attribution over the whole
-	// run; Run has checked that it conserves capacity.
+	// run, checked by Run to conserve capacity (nil if the run failed).
 	Attr *metrics.Attribution
 	// Cycles is the server time throughput divides by: the boot vCPU's
 	// cycles, or the machine's makespan for IperfParallel and
-	// RedisConns. Redis measures Cycles, Crossings and ByComponent over
-	// its requests only, excluding connection setup and warmup; the
-	// other workloads over the whole run.
+	// RedisConns. Crossings and ByComponent (the boot vCPU's ledger)
+	// cover the same span; the multi-connection workloads leave them
+	// empty. Redis measures over its requests only, excluding
+	// connection setup and warmup; the other workloads over the whole
+	// run.
 	Cycles      uint64
 	Crossings   uint64
 	ByComponent map[clock.Component]uint64
