@@ -112,6 +112,11 @@ func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
 	if errors.Is(err, sched.ErrDeadlock) || errors.As(err, &crash) {
 		t.Fatalf("scheduler: %v", err)
 	}
+	// The applications themselves must see the partition: a short
+	// transfer that both of them took for a clean finish is a failure.
+	if !errors.Is(err, net.ErrConnClosed) {
+		t.Fatalf("no application saw the partition: %v", err)
+	}
 	w := r.World
 	if n := w.Server.Stack.Stats().NetDeaths; n == 0 {
 		t.Fatal("server stack recorded no net death")

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"flexos/internal/core/explore"
 	"flexos/internal/core/gate"
 	"flexos/internal/core/spec"
+	"flexos/internal/net"
 )
 
 // The harness tests double as the acceptance suite for the paper's
@@ -345,5 +347,36 @@ func TestRunReportsPoolLeak(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "server pool leak: 1 buffers") {
 		t.Fatalf("want a server pool leak of one buffer, got %v", err)
+	}
+}
+
+// TestRunRejectsMissingWorkload: a Scenario without a workload is an
+// error, not a nil dereference.
+func TestRunRejectsMissingWorkload(t *testing.T) {
+	if _, err := Run(Scenario{}); err == nil {
+		t.Fatal("Run accepted a scenario with no workload")
+	}
+}
+
+// shortWorkload spawns nothing and reports one byte missing.
+type shortWorkload struct{}
+
+func (shortWorkload) sockets() net.SocketMode { return net.TCPIPThreadMode }
+
+func (shortWorkload) start(*build.World, *Result) func() ([]error, error) {
+	return func() ([]error, error) { return nil, delivered(0, 1, "bytes received") }
+}
+
+// TestRunReportsShortRun pins the error a short transfer returns: a
+// *shortRun, unjoined, which the breaker demo tells apart from an
+// application or scheduler failure.
+func TestRunReportsShortRun(t *testing.T) {
+	r, err := Run(Scenario{Workload: shortWorkload{}})
+	var short *shortRun
+	if !errors.As(err, &short) || err.Error() != "harness: 0 of 1 bytes received" {
+		t.Fatalf("want a short run, got %v", err)
+	}
+	if r == nil || r.World == nil {
+		t.Fatal("a short run returned no Result")
 	}
 }

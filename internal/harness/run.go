@@ -73,12 +73,16 @@ type Result struct {
 	// StreamBytes is each IperfParallel connection's payload, in
 	// accept order.
 	StreamBytes []uint64
-	// Overload accounting of a server with a service budget: work
-	// served within it, served past it and shed (requests for redis;
-	// bytes, and shed drains, for iperf), the -BUSY replies the client
-	// saw, the worst command age and the number of iperf drains.
-	Good, Late, Shed    uint64
-	Busy, MaxAge, Recvs uint64
+	// Overload is the accounting of a server with a service budget,
+	// filled by Redis and the overload experiment's iperf pairs and
+	// read only by that experiment: work served
+	// within it, served past it and shed (requests for redis; bytes,
+	// and shed drains, for iperf), the -BUSY replies the client saw,
+	// the worst command age and the number of iperf drains.
+	Overload struct {
+		Good, Late, Shed    uint64
+		Busy, MaxAge, Recvs uint64
+	}
 }
 
 // Gbps is the received payload over Cycles.
@@ -95,6 +99,9 @@ func (r *Result) KReqPerSec() float64 { return clock.OpsPerSec(r.Ops, r.Cycles) 
 // the server's capacity. A run that fails after boot still returns
 // its Result, for callers that classify failures.
 func Run(sc Scenario) (*Result, error) {
+	if sc.Workload == nil {
+		return nil, errors.New("harness: scenario has no workload")
+	}
 	cfg := sc.Config
 	cfg.Net.SocketMode = sc.Workload.sockets()
 	w, err := build.NewWorld(cfg)
@@ -137,11 +144,22 @@ func checkPoolLeaks(w *build.World) error {
 	return nil
 }
 
-// delivered reports a short transfer or request count: got of want
-// units (say, "bytes received").
+// shortRun is a run whose applications all finished cleanly but
+// delivered got of want units (say, "bytes received").
+type shortRun struct {
+	got   uint64
+	want  int
+	units string
+}
+
+func (e *shortRun) Error() string {
+	return fmt.Sprintf("harness: %d of %d %s", e.got, e.want, e.units)
+}
+
+// delivered reports a short transfer or request count as a *shortRun.
 func delivered(got uint64, want int, units string) error {
 	if got != uint64(want) {
-		return fmt.Errorf("harness: %d of %d %s", got, want, units)
+		return &shortRun{got, want, units}
 	}
 	return nil
 }

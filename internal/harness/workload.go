@@ -187,7 +187,7 @@ func (wl Redis) start(w *build.World, r *Result) func() ([]error, error) {
 			for _, rep := range replies {
 				switch {
 				case wl.Enforce && bytes.HasPrefix(rep, []byte("-BUSY")):
-					r.Busy++
+					r.Overload.Busy++
 				case len(rep) == 0 || rep[0] == '-':
 					cliErr = fmt.Errorf("redis client: error reply %q", rep)
 					return
@@ -199,8 +199,9 @@ func (wl Redis) start(w *build.World, r *Result) func() ([]error, error) {
 		r.Cycles = w.Server.CPU.Cycles() - startCycles
 		r.Crossings = w.Server.Registry.TotalCrossings() - startCross
 		r.ByComponent = componentDelta(startBy, w.Server.CPU.ByComponent())
-		r.Good, r.Late, r.Shed = srv.Good-startGood, srv.Late-startLate, srv.Shed-startShed
-		r.MaxAge = srv.MaxAge
+		o := &r.Overload
+		o.Good, o.Late, o.Shed = srv.Good-startGood, srv.Late-startLate, srv.Shed-startShed
+		o.MaxAge = srv.MaxAge
 		cliErr = c.Close(th)
 	})
 	return func() ([]error, error) {
