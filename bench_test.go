@@ -426,6 +426,42 @@ func BenchmarkGateCall(b *testing.B) {
 	}
 }
 
+// BenchmarkRoutedCall measures one routed crossing on a booted
+// NW|Sched|Rest image, per backend: netstack calls libc (nw -> core)
+// through Env.CallFn, so each call runs the route cache, the
+// supervisor, the registry, the gate and the meter — the per-request
+// path, where BenchmarkGateCall times a bare gate. The warm-up call
+// resolves the route and creates the meter's instruments before the
+// timer starts, so allocs/op is the steady-state count: zero.
+func BenchmarkRoutedCall(b *testing.B) {
+	for _, backend := range gateBenchBackends {
+		b.Run(backend.String(), func(b *testing.B) {
+			w, err := build.NewWorld(build.Config{
+				Backend:      backend,
+				Compartments: build.NWSchedRest(),
+				Alloc:        build.AllocPerCompartment,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			env, clk := w.Server.Env("netstack"), w.Server.Clock
+			fn := func() error { return nil }
+			if err := env.CallFn("libc", "noop", 1, fn); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := clk.Cycles()
+			for i := 0; i < b.N; i++ {
+				if err := env.CallFn("libc", "noop", 1, fn); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(clk.Cycles()-start)/float64(b.N), "sim-cycles/call")
+		})
+	}
+}
+
 // BenchmarkGateCallBatch pins the amortized per-frame cost of a
 // depth-16 CallBatch, per backend. Backends without a batched entry
 // path (direct, CHERI) degenerate to a loop of calls, so their

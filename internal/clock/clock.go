@@ -29,8 +29,11 @@ import (
 )
 
 // Component identifies a micro-library (or infrastructure facility) for
-// cycle attribution. Components are free-form, but the canonical FlexOS
-// decomposition uses the constants below.
+// cycle attribution. The set is closed: the constants below are the
+// only components, and charging any other value panics. A closed set
+// lets every vCPU keep its ledger in a fixed array indexed by
+// component, so a charge on the per-request path hashes nothing. The
+// type stays a string so ledgers export and sort by name.
 type Component string
 
 // Canonical components of the FlexOS image used throughout the
@@ -55,6 +58,82 @@ const (
 	CompIdle Component = "idle"
 )
 
+// numComponents is the size of the closed component set.
+const numComponents = 12
+
+// components lists the closed set in ledger-index order.
+var components = [numComponents]Component{
+	CompNet, CompSched, CompLibC, CompAlloc, CompApp, CompRest,
+	CompGate, CompSH, CompVMM, CompCopy, CompFault, CompIdle,
+}
+
+// index reports comp's slot in a ledger, false for a value outside the
+// closed set.
+func (comp Component) index() (int, bool) {
+	switch comp {
+	case CompNet:
+		return 0, true
+	case CompSched:
+		return 1, true
+	case CompLibC:
+		return 2, true
+	case CompAlloc:
+		return 3, true
+	case CompApp:
+		return 4, true
+	case CompRest:
+		return 5, true
+	case CompGate:
+		return 6, true
+	case CompSH:
+		return 7, true
+	case CompVMM:
+		return 8, true
+	case CompCopy:
+		return 9, true
+	case CompFault:
+		return 10, true
+	case CompIdle:
+		return 11, true
+	}
+	return 0, false
+}
+
+// ledger is one vCPU's per-component cycle breakdown. charged has bit
+// i set once components[i] was charged, even with 0 cycles: such a
+// component is still part of the ledger's key set, which reaches
+// attribution rows and fingerprints.
+type ledger struct {
+	cycles  [numComponents]uint64
+	charged uint16
+}
+
+// unknownComponent panics for a charge outside the closed set: only a
+// simulator bug builds such a component. It is kept out of line so
+// the formatting code stays off the charge path.
+//
+//go:noinline
+func unknownComponent(comp Component) {
+	panic(fmt.Sprintf("clock: charge to unknown component %q", string(comp)))
+}
+
+// each calls fn for every charged component, in index order.
+func (l *ledger) each(fn func(Component, uint64)) {
+	for i, comp := range components {
+		if l.charged&(1<<i) != 0 {
+			fn(comp, l.cycles[i])
+		}
+	}
+}
+
+// get reports comp's cycles (0 outside the closed set).
+func (l *ledger) get(comp Component) uint64 {
+	if i, ok := comp.index(); ok {
+		return l.cycles[i]
+	}
+	return 0
+}
+
 // Hz is the frequency of the simulated CPU. The paper's testbed is a
 // Xeon Silver 4110 at 2.1 GHz.
 const Hz = 2_100_000_000
@@ -70,22 +149,25 @@ const Hz = 2_100_000_000
 // stands in for hardware parallelism, which keeps runs reproducible.
 type CPU struct {
 	cycles  uint64
-	byComp  map[Component]uint64
+	byComp  ledger
 	stopped bool
 	id      int
 	mach    *Machine // nil for a standalone CPU
 }
 
 // New returns a standalone CPU with an empty ledger.
-func New() *CPU { return &CPU{byComp: make(map[Component]uint64)} }
+func New() *CPU { return &CPU{} }
 
-// Charge adds cycles to the counter, attributed to comp.
+// Charge adds cycles to the counter, attributed to comp. comp must be
+// one of the canonical components; any other value panics.
 func (c *CPU) Charge(comp Component, cycles uint64) {
-	if c.byComp == nil {
-		c.byComp = make(map[Component]uint64)
+	i, ok := comp.index()
+	if !ok {
+		unknownComponent(comp)
 	}
 	c.cycles += cycles
-	c.byComp[comp] += cycles
+	c.byComp.cycles[i] += cycles
+	c.byComp.charged |= 1 << i
 }
 
 // Cycles reports the total number of cycles charged so far.
@@ -128,22 +210,21 @@ func (c *CPU) CurID() int { return c.id }
 // Steer implements Clock; a standalone CPU has nowhere to steer.
 func (c *CPU) Steer(int) func() { return func() {} }
 
-// ByComponent returns a copy of the per-component cycle ledger.
+// ByComponent returns a copy of the per-component cycle ledger: every
+// component charged so far, including those charged 0 cycles.
 func (c *CPU) ByComponent() map[Component]uint64 {
-	out := make(map[Component]uint64, len(c.byComp))
-	for k, v := range c.byComp {
-		out[k] = v
-	}
+	out := make(map[Component]uint64)
+	c.byComp.each(func(comp Component, cyc uint64) { out[comp] = cyc })
 	return out
 }
 
 // Component reports the cycles attributed to a single component.
-func (c *CPU) Component(comp Component) uint64 { return c.byComp[comp] }
+func (c *CPU) Component(comp Component) uint64 { return c.byComp.get(comp) }
 
 // Reset zeroes the counter and the ledger.
 func (c *CPU) Reset() {
 	c.cycles = 0
-	c.byComp = make(map[Component]uint64)
+	c.byComp = ledger{}
 }
 
 // Elapsed converts the cycle counter to simulated time at Hz.
@@ -157,10 +238,8 @@ func (c *CPU) String() string {
 		comp Component
 		cyc  uint64
 	}
-	rows := make([]row, 0, len(c.byComp))
-	for k, v := range c.byComp {
-		rows = append(rows, row{k, v})
-	}
+	var rows []row
+	c.byComp.each(func(comp Component, cyc uint64) { rows = append(rows, row{comp, cyc}) })
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].cyc != rows[j].cyc {
 			return rows[i].cyc > rows[j].cyc

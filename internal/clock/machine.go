@@ -36,6 +36,9 @@ var (
 type Machine struct {
 	cpus []*CPU
 	cur  *CPU
+	// restore[i] makes vCPU i current again: Steer hands these out, so
+	// steering an interrupt allocates nothing.
+	restore []func()
 }
 
 // NewMachine builds a machine of n vCPUs (n < 1 is clamped to 1), all
@@ -44,9 +47,11 @@ func NewMachine(n int) *Machine {
 	if n < 1 {
 		n = 1
 	}
-	m := &Machine{cpus: make([]*CPU, n)}
+	m := &Machine{cpus: make([]*CPU, n), restore: make([]func(), n)}
 	for i := range m.cpus {
-		m.cpus[i] = &CPU{byComp: make(map[Component]uint64), id: i, mach: m}
+		c := &CPU{id: i, mach: m}
+		m.cpus[i] = c
+		m.restore[i] = func() { m.cur = c }
 	}
 	m.cur = m.cpus[0]
 	return m
@@ -77,9 +82,9 @@ func (m *Machine) Cycles() uint64 { return m.cur.cycles }
 
 // Steer implements Clock: charges go to vCPU id until restore runs.
 func (m *Machine) Steer(id int) func() {
-	prev := m.cur
+	restore := m.restore[m.cur.id]
 	m.cur = m.cpus[id]
-	return func() { m.cur = prev }
+	return restore
 }
 
 // Makespan is the machine's elapsed time: the maximum vCPU counter.
@@ -109,9 +114,7 @@ func (m *Machine) TotalCycles() uint64 {
 func (m *Machine) ByComponent() map[Component]uint64 {
 	out := make(map[Component]uint64)
 	for _, c := range m.cpus {
-		for k, v := range c.byComp {
-			out[k] += v
-		}
+		c.byComp.each(func(comp Component, cyc uint64) { out[comp] += cyc })
 	}
 	return out
 }
@@ -120,7 +123,7 @@ func (m *Machine) ByComponent() map[Component]uint64 {
 func (m *Machine) Component(comp Component) uint64 {
 	var sum uint64
 	for _, c := range m.cpus {
-		sum += c.byComp[comp]
+		sum += c.byComp.get(comp)
 	}
 	return sum
 }

@@ -332,10 +332,11 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 
 	// --- always-on metrics -----------------------------------------
 	// Live crossing counters and call-latency histograms, per
-	// (compartment pair, vCPU). Instruments are resolved once per key
-	// and cached; the meter itself is two counter adds and one
-	// histogram observe — no allocation after the first crossing of a
-	// pair on a vCPU.
+	// (compartment pair, vCPU). Instruments live in a table indexed by
+	// the route's compartment indices and the vCPU, created on a
+	// pair's first crossing on that vCPU; the meter itself is two
+	// counter adds and one histogram observe — no lookup by name and no
+	// allocation after that first crossing.
 	m.Metrics = metrics.NewRegistry()
 	m.compOf = make(map[clock.Component]string, len(libComponents))
 	for _, c := range comps {
@@ -344,20 +345,17 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 		}
 	}
 	backend := cfg.Backend.String()
-	type meterKey struct {
-		from, to string
-		cpu      int
-	}
 	type meterInst struct {
 		crossings, frames *metrics.Counter
 		cycles            *metrics.Histogram
 	}
-	insts := make(map[meterKey]*meterInst)
-	m.Registry.SetMeter(m.Clock, func(fromComp, toComp string, cpu int, cycles uint64, frames int) {
-		k := meterKey{fromComp, toComp, cpu}
-		in, ok := insts[k]
-		if !ok {
-			l := metrics.Label{Comp: fromComp + "->" + toComp, Backend: backend, CPU: cpu}
+	nComp, nCPU := m.Registry.NumCompartments(), m.Clock.NCPU()
+	insts := make([]*meterInst, nComp*nComp*nCPU)
+	m.Registry.SetMeter(m.Clock, func(r *gate.Route, cpu int, cycles uint64, frames int) {
+		k := (r.FromIdx*nComp+r.ToIdx)*nCPU + cpu
+		in := insts[k]
+		if in == nil {
+			l := metrics.Label{Comp: r.From.Name + "->" + r.To.Name, Backend: backend, CPU: cpu}
 			in = &meterInst{
 				crossings: m.Metrics.Counter("gate_crossings", l),
 				frames:    m.Metrics.Counter("gate_frames", l),

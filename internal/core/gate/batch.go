@@ -66,7 +66,7 @@ func batchFrameDeadline(cpu clock.Clock, from, to *Domain, frame CallFrame) erro
 		return nil
 	}
 	cpu.Charge(clock.CompGate, clock.CostDeadlineRefuse)
-	pc := from.Name + "->" + to.Name
+	pc := crossPC(from, to)
 	return fault.Classify(to.Name, pc,
 		&fault.DeadlineExceeded{PC: pc, Deadline: frame.Deadline, Now: now})
 }
@@ -97,14 +97,13 @@ func (g *mpkGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 	if !any {
 		return errs
 	}
-	pc := from.Name + "->" + to.Name
 	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
 	if g.switched {
 		g.clk.Charge(clock.CompGate,
 			clock.CostStackSwitch+uint64(words)*clock.CostParamCopyPerWord)
 	}
 	if err := g.unit.WritePKRU(to.PKRU); err != nil {
-		trap := &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
+		trap := &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: crossPC(from, to),
 			Cause: fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err)}
 		for i := range frames {
 			if live[i] {
@@ -127,7 +126,7 @@ func (g *mpkGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 		g.clk.Charge(clock.CompGate, clock.CostBatchDispatch)
 		// Each frame gets its own trap boundary: one trapped frame
 		// aborts only itself, the rest of the batch completes.
-		errs[i] = fault.Contain(to.Name, pc, fn)
+		errs[i] = fault.ContainCrossing(from.Name, to.Name, fn)
 		retWords += frames[i].RetWords
 	}
 	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
@@ -136,7 +135,7 @@ func (g *mpkGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 			clock.CostStackSwitch+uint64(retWords)*clock.CostParamCopyPerWord)
 	}
 	if err := g.unit.WritePKRU(from.PKRU); err != nil {
-		trap := &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
+		trap := &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: crossPC(from, to),
 			Cause: fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err)}
 		for i := range frames {
 			if live[i] && errs[i] == nil {
@@ -163,7 +162,6 @@ func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 	if g.notify != nil {
 		g.notify(from, to)
 	}
-	pc := from.Name + "->" + to.Name
 	retWords := 0
 	for i, fn := range fns {
 		if err := batchFrameDeadline(g.clk, from, to, frames[i]); err != nil {
@@ -171,7 +169,7 @@ func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 			continue
 		}
 		g.clk.Charge(clock.CompVMM, clock.CostBatchDispatch)
-		errs[i] = fault.Contain(to.Name, pc, fn)
+		errs[i] = fault.ContainCrossing(from.Name, to.Name, fn)
 		retWords += frames[i].RetWords
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+

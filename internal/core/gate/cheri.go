@@ -59,26 +59,25 @@ func (g *CHERIGate) Call(from, to *Domain, frame CallFrame, fn func() error) err
 	}
 	g.cpu.Charge(clock.CompGate, clock.CostRegisterClear+
 		uint64(frame.EntryWords())*clock.CostParamCopyPerWord)
-	pc := from.Name + "->" + to.Name
 	pair, ok := g.entries[to.Name]
 	if !ok {
 		return fmt.Errorf("gate: no sealed entry pair for domain %q", to.Name)
 	}
 	if _, _, err := g.m.Invoke(pair[0], pair[1]); err != nil {
-		return fault.Classify(to.Name, pc, fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err))
+		return fault.Classify(to.Name, crossPC(from, to), fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err))
 	}
 	// The callee runs behind a trap boundary: capability bounds/tag
 	// violations (and injected corruption) in the target compartment
 	// come back as typed fault.Trap errors, and the return CInvoke
 	// below still reinstalls the caller's domain.
-	callErr := fault.Contain(to.Name, pc, fn)
+	callErr := fault.ContainCrossing(from.Name, to.Name, fn)
 	g.cpu.Charge(clock.CompGate, clock.CostRegisterClear)
 	ret, ok := g.entries[from.Name]
 	if !ok {
 		return fmt.Errorf("gate: no sealed entry pair for caller domain %q", from.Name)
 	}
 	if _, _, err := g.m.Invoke(ret[0], ret[1]); err != nil {
-		return fault.Classify(to.Name, pc, fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err))
+		return fault.Classify(to.Name, crossPC(from, to), fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err))
 	}
 	return callErr
 }

@@ -178,10 +178,15 @@ func deadlineCheck(clk clock.Clock, b Backend, from, to *Domain, frame CallFrame
 		return nil
 	}
 	clk.Charge(clock.CompGate, clock.CostDeadlineRefuse)
-	pc := from.Name + "->" + to.Name
+	pc := crossPC(from, to)
 	return fault.Classify(to.Name, pc,
 		&fault.DeadlineExceeded{PC: pc, Deadline: frame.Deadline, Now: now})
 }
+
+// crossPC is the symbolic PC of a crossing, "from->to", as trap
+// reports name it. Gates build it on error paths only: on a clean
+// crossing it would be a heap allocation per call.
+func crossPC(from, to *Domain) string { return from.Name + "->" + to.Name }
 
 // EntryWords is the number of scalar words marshalled on entry: the
 // arguments plus one descriptor (address + length/capacity word) per
@@ -213,6 +218,32 @@ type Gate interface {
 	// Crossings reports how many domain crossings the gate performed
 	// (a call and its return are one crossing pair, counted once).
 	Crossings() uint64
+	// sealed keeps every implementation in this package, where the
+	// registry's dispatch knows them all.
+	sealed()
+}
+
+func (*funcGate) sealed()  {}
+func (*mpkGate) sealed()   {}
+func (*rpcGate) sealed()   {}
+func (*CHERIGate) sealed() {}
+
+// dispatch calls g through its concrete type. Through the Gate
+// interface the compiler must assume the gate keeps fn, so every
+// caller's closure would escape to the heap; a concrete call lets it
+// see that no gate does, and a routed call allocates nothing.
+func dispatch(g Gate, from, to *Domain, frame CallFrame, fn func() error) error {
+	switch g := g.(type) {
+	case *funcGate:
+		return g.Call(from, to, frame, fn)
+	case *mpkGate:
+		return g.Call(from, to, frame, fn)
+	case *rpcGate:
+		return g.Call(from, to, frame, fn)
+	case *CHERIGate:
+		return g.Call(from, to, frame, fn)
+	}
+	panic(fmt.Sprintf("gate: unknown gate %T", g))
 }
 
 // funcGate is the direct-call gate used within a compartment.
@@ -299,18 +330,17 @@ func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 		g.clk.Charge(clock.CompGate,
 			clock.CostStackSwitch+uint64(words)*clock.CostParamCopyPerWord)
 	}
-	pc := from.Name + "->" + to.Name
 	if err := g.unit.WritePKRU(to.PKRU); err != nil {
 		// A sealed-WRPKRU rejection is a protection fault in its own
 		// right: attempted entry with an unregistered register value.
-		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
+		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: crossPC(from, to),
 			Cause: fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err)}
 	}
 	// The callee runs inside a trap boundary: protection faults raised
 	// in its domain (pkey faults, ASAN violations, injected corruption)
 	// come back as typed fault.Trap errors, and the return path below
 	// still restores the caller's PKRU.
-	callErr := fault.Contain(to.Name, pc, fn)
+	callErr := fault.ContainCrossing(from.Name, to.Name, fn)
 	// Return path: restore caller domain (and stack), copying the
 	// declared return words back.
 	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
@@ -319,7 +349,7 @@ func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 			clock.CostStackSwitch+uint64(frame.RetWords)*clock.CostParamCopyPerWord)
 	}
 	if err := g.unit.WritePKRU(from.PKRU); err != nil {
-		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
+		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: crossPC(from, to),
 			Cause: fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err)}
 	}
 	return callErr
@@ -377,7 +407,7 @@ func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	// The callee VM's work runs inside a trap boundary: a protection
 	// fault in the callee costs that VM, not the caller — the caller
 	// sees a typed error on its response ring.
-	callErr := fault.Contain(to.Name, from.Name+"->"+to.Name, fn)
+	callErr := fault.ContainCrossing(from.Name, to.Name, fn)
 	// Response: notification back to the caller VM, return words
 	// marshalled through the ring.
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+

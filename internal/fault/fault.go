@@ -114,8 +114,13 @@ func (t *Trap) Error() string {
 // Unwrap exposes the mechanism error to errors.Is/As.
 func (t *Trap) Unwrap() error { return t.Cause }
 
-// As extracts a Trap from an error chain.
+// As extracts a Trap from an error chain. A nil error, the outcome of
+// every clean call, returns before errors.As, which would heap-allocate
+// its target.
 func As(err error) (*Trap, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var t *Trap
 	if errors.As(err, &t) {
 		return t, true
@@ -164,7 +169,25 @@ func Classify(comp, pc string, err error) error {
 // unwinding. Isolating gates wrap their callee in Contain; the direct
 // (funccall) gate does not, which is what makes the containment story
 // measurable.
-func Contain(comp, pc string, fn func() error) (err error) {
+func Contain(comp, pc string, fn func() error) error {
+	return Classify(comp, pc, recoverTrap(comp, fn))
+}
+
+// ContainCrossing is Contain for a gate crossing from compartment from
+// into compartment to: a trap is attributed to to at the symbolic PC
+// "from->to". The PC string is built only when fn failed, so a clean
+// crossing allocates nothing.
+func ContainCrossing(from, to string, fn func() error) error {
+	err := recoverTrap(to, fn)
+	if err == nil {
+		return nil
+	}
+	return Classify(to, from+"->"+to, err)
+}
+
+// recoverTrap runs fn and returns its error, or the *Trap a panic
+// carried (attributed to comp when it names no compartment).
+func recoverTrap(comp string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t, ok := r.(*Trap)
@@ -177,7 +200,7 @@ func Contain(comp, pc string, fn func() error) (err error) {
 			err = t
 		}
 	}()
-	return Classify(comp, pc, fn())
+	return fn()
 }
 
 // Policy is a compartment's configured reaction to a trap it raised.

@@ -240,3 +240,40 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestNilErrorAllocatesNothing pins the settle path of a clean call:
+// classifying a nil error allocates nothing.
+func TestNilErrorAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := As(nil); ok {
+			t.Fatal("As(nil) found a trap")
+		}
+	}); n != 0 {
+		t.Errorf("As(nil): %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if IsOverload(nil) {
+			t.Fatal("IsOverload(nil) = true")
+		}
+	}); n != 0 {
+		t.Errorf("IsOverload(nil): %v allocs, want 0", n)
+	}
+}
+
+// TestContainCrossingNamesThePair pins the trap a gate crossing
+// reports: attributed to the callee at the symbolic PC "from->to".
+func TestContainCrossingNamesThePair(t *testing.T) {
+	mpkErr := &mpk.Fault{Addr: 0x2000, Key: 3, Write: true}
+	err := ContainCrossing("core", "nw", func() error { return mpkErr })
+	tr, ok := As(err)
+	if !ok || tr.Comp != "nw" || tr.PC != "core->nw" || tr.Kind != KindMPK {
+		t.Fatalf("err = %v, want an MPK trap in nw at core->nw", err)
+	}
+	if err := ContainCrossing("core", "nw", func() error { return nil }); err != nil {
+		t.Fatalf("clean crossing: %v", err)
+	}
+	err = ContainCrossing("core", "nw", func() error { panic(&Trap{Kind: KindInjected}) })
+	if tr, ok := As(err); !ok || tr.Comp != "nw" {
+		t.Fatalf("err = %v, want the injected trap attributed to nw", err)
+	}
+}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,5 +157,22 @@ func TestAttributeSingleCPUMatchesLedger(t *testing.T) {
 	out := a.Format()
 	if !strings.Contains(out, "conserved:") || strings.Contains(out, "VIOLATED") {
 		t.Fatalf("format output missing conservation line:\n%s", out)
+	}
+}
+
+// TestAttributeKeepsZeroChargedRows pins that a component charged 0
+// cycles still gets its attribution row, in name order with the rest.
+func TestAttributeKeepsZeroChargedRows(t *testing.T) {
+	m := clock.NewMachine(1)
+	m.Charge(clock.CompNet, 10)
+	m.Charge(clock.CompSH, 0)
+	m.Charge(clock.CompApp, 5)
+	a := Attribute(m, nil)
+	var got []string
+	for _, r := range a.Rows {
+		got = append(got, fmt.Sprintf("%s=%d", r.Component, r.Cycles))
+	}
+	if want := "app=5 netstack=10 sh=0"; strings.Join(got, " ") != want {
+		t.Fatalf("rows = %v, want %s", got, want)
 	}
 }

@@ -148,3 +148,37 @@ func TestAllocPortExhaustion(t *testing.T) {
 		t.Fatalf("got %v, want ErrNoPorts", err)
 	}
 }
+
+// TestAllocPortReusableAfterLastConnection checks the local-port
+// refcount: a port shared by two connections stays held until the
+// last of them is gone, and is issued again after that.
+func TestAllocPortReusableAfterLastConnection(t *testing.T) {
+	_, _, client, _ := world(t, Config{})
+	st := client.stack
+	const p = 50000
+	a := &Socket{localPort: p, remoteIP: IP4(10, 0, 0, 1), remotePort: 80}
+	b := &Socket{localPort: p, remoteIP: IP4(10, 0, 0, 1), remotePort: 81}
+	st.addConn(a)
+	st.addConn(b)
+	next := func() uint16 {
+		t.Helper()
+		st.nextEphemeral = p
+		got, err := st.allocPort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := next(); got != p+1 {
+		t.Fatalf("with two live connections got %d, want %d", got, p+1)
+	}
+	st.dropConn(a)
+	st.dropConn(a) // a tuple already gone must not release b's hold
+	if got := next(); got != p+1 {
+		t.Fatalf("with one live connection got %d, want %d", got, p+1)
+	}
+	st.dropConn(b)
+	if got := next(); got != p {
+		t.Fatalf("after the last connection closed got %d, want %d", got, p)
+	}
+}

@@ -165,6 +165,10 @@ type Stack struct {
 
 	listeners map[uint16]*Socket
 	conns     map[connKey]*Socket
+	// connPorts counts the live connections in conns per local port,
+	// so allocPort checks a candidate port without scanning conns.
+	// addConn and dropConn keep the two in step.
+	connPorts map[uint16]int
 	udpSocks  map[uint16]*UDPSocket
 
 	recvBuf     int
@@ -248,6 +252,7 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 		platform:      cfg.Platform,
 		listeners:     make(map[uint16]*Socket),
 		conns:         make(map[connKey]*Socket),
+		connPorts:     make(map[uint16]int),
 		udpSocks:      make(map[uint16]*UDPSocket),
 		recvBuf:       cfg.RecvBuf,
 		maxInflight:   cfg.MaxInflight,
@@ -485,7 +490,7 @@ func (st *Stack) doConnect(t *sched.Thread, ip IPAddr, port uint16) (*Socket, er
 	s.iss = st.nextISN()
 	s.sndUna = s.iss
 	s.sndNxt = s.iss
-	st.conns[connKey{s.localPort, ip, port}] = s
+	st.addConn(s)
 	if err := st.sendFlags(s, flagSYN); err != nil {
 		return nil, err
 	}
@@ -542,12 +547,29 @@ func (st *Stack) portInUse(p uint16) bool {
 	if _, ok := st.udpSocks[p]; ok {
 		return true
 	}
-	for k := range st.conns {
-		if k.localPort == p {
-			return true
-		}
+	return st.connPorts[p] > 0
+}
+
+// addConn registers s under its 4-tuple in conns.
+func (st *Stack) addConn(s *Socket) {
+	k := connKey{s.localPort, s.remoteIP, s.remotePort}
+	if _, ok := st.conns[k]; !ok {
+		st.connPorts[k.localPort]++
 	}
-	return false
+	st.conns[k] = s
+}
+
+// dropConn removes s's 4-tuple from conns; a tuple already gone is a
+// no-op.
+func (st *Stack) dropConn(s *Socket) {
+	k := connKey{s.localPort, s.remoteIP, s.remotePort}
+	if _, ok := st.conns[k]; !ok {
+		return
+	}
+	delete(st.conns, k)
+	if st.connPorts[k.localPort]--; st.connPorts[k.localPort] == 0 {
+		delete(st.connPorts, k.localPort)
+	}
 }
 
 func (st *Stack) nextISN() uint32 {
@@ -941,7 +963,7 @@ func (st *Stack) abort(s *Socket, err error) {
 	st.semUp(s.rcvSem)
 	st.semUp(s.sndSem)
 	st.semUp(s.connSem)
-	delete(st.conns, connKey{s.localPort, s.remoteIP, s.remotePort})
+	st.dropConn(s)
 }
 
 // releaseOOO returns every buffered out-of-order segment to its
@@ -1048,7 +1070,7 @@ func (st *Stack) acceptSYN(l *Socket, h *header) {
 	s.sndNxt = s.iss
 	s.sndWnd = int(h.Wnd)
 	s.listener = l
-	st.conns[connKey{s.localPort, s.remoteIP, s.remotePort}] = s
+	st.addConn(s)
 	if err := st.sendFlags(s, flagSYN|flagACK); err != nil {
 		st.abort(s, err)
 	}
@@ -1127,7 +1149,7 @@ func (st *Stack) process(s *Socket, h *header, payloadLen int, own rxOwn) bool {
 			s.state = stCloseWait
 		} else if s.state == stFinSent {
 			s.state = stClosed
-			delete(st.conns, connKey{s.localPort, s.remoteIP, s.remotePort})
+			st.dropConn(s)
 		}
 		_ = st.sendFlags(s, flagACK)
 		st.semUp(s.rcvSem)
@@ -1179,7 +1201,7 @@ func (st *Stack) processAck(s *Socket, h *header, payloadLen int) {
 			// received: the connection is fully closed.
 			s.state = stClosed
 			st.releaseOOO(s)
-			delete(st.conns, connKey{s.localPort, s.remoteIP, s.remotePort})
+			st.dropConn(s)
 		}
 	case h.Ack == s.sndUna && payloadLen == 0 && len(s.rtx) > 0 &&
 		int(h.Wnd) == prevWnd && prevWnd > 0 && !h.has(flagSYN) && !h.has(flagFIN):

@@ -68,43 +68,45 @@ type breakerState struct {
 // SetOverload configures comp's admission queue. A zero-depth spec
 // with a non-deadline policy disables admission control for comp.
 func (s *Supervisor) SetOverload(comp string, spec OverloadSpec) {
+	cs := s.comp(comp)
 	if spec.Depth <= 0 && spec.Policy != fault.ShedPolicyDeadline {
-		delete(s.overload, comp)
+		cs.overload, cs.hasOverload = OverloadSpec{}, false
 		return
 	}
-	s.overload[comp] = spec
+	cs.overload, cs.hasOverload = spec, true
 }
 
 // Overload reports comp's admission spec, if configured.
 func (s *Supervisor) Overload(comp string) (OverloadSpec, bool) {
-	spec, ok := s.overload[comp]
-	return spec, ok
+	cs := s.comp(comp)
+	return cs.overload, cs.hasOverload
 }
 
 // SetBreaker configures comp's circuit breaker. A zero threshold
 // removes it.
 func (s *Supervisor) SetBreaker(comp string, spec BreakerSpec) {
+	cs := s.comp(comp)
 	if spec.Threshold <= 0 {
-		delete(s.breakers, comp)
-		delete(s.brk, comp)
+		cs.breaker, cs.brk = BreakerSpec{}, nil
 		return
 	}
-	s.breakers[comp] = spec
+	cs.breaker = spec
 }
 
 // Breaker reports comp's breaker spec, if configured.
 func (s *Supervisor) Breaker(comp string) (BreakerSpec, bool) {
-	spec, ok := s.breakers[comp]
-	return spec, ok
+	cs := s.comp(comp)
+	return cs.breaker, cs.breaker.Threshold > 0
 }
 
 // BreakerState reports comp's breaker state as "closed", "open" or
 // "half-open" ("" when no breaker is configured).
 func (s *Supervisor) BreakerState(comp string) string {
-	if _, ok := s.breakers[comp]; !ok {
+	cs := s.comp(comp)
+	if cs.breaker.Threshold <= 0 {
 		return ""
 	}
-	b := s.brk[comp]
+	b := cs.brk
 	if b == nil {
 		return "closed"
 	}
@@ -129,25 +131,32 @@ func (s *Supervisor) SetThreadSource(fn func() *sched.Thread) { s.curThread = fn
 func (s *Supervisor) SetOnShed(fn func(comp string)) { s.onShed = fn }
 
 // InFlight reports how many calls are currently resident in comp.
-func (s *Supervisor) InFlight(comp string) int { return s.inFlight[comp] }
+func (s *Supervisor) InFlight(comp string) int { return s.comp(comp).inFlight }
 
-// admit applies comp's circuit breaker and admission policy to one
+// admission is one admitted crossing's claim on its compartment. The
+// caller must release it when the call ends (supervise defers it).
+type admission struct {
+	cs      *compState
+	counted bool // the call holds an admission-queue slot
+}
+
+// admit applies cs's circuit breaker and admission policy to one
 // crossing carrying the given absolute deadline (0 = none). On
-// success it returns the release function the caller must defer; on
-// rejection it returns the typed error to propagate.
-func (s *Supervisor) admit(toComp string, deadline uint64) (func(), error) {
-	if err := s.breakerAdmit(toComp); err != nil {
-		return nil, err
+// success it returns the admission to release; on rejection it
+// returns the typed error to propagate.
+func (s *Supervisor) admit(cs *compState, deadline uint64) (admission, error) {
+	if err := s.breakerAdmit(cs); err != nil {
+		return admission{}, err
 	}
-	spec, hasSpec := s.overload[toComp]
-	if hasSpec {
+	if cs.hasOverload {
+		spec := cs.overload
 		switch spec.Policy {
 		case fault.ShedPolicyShed:
-			if spec.Depth > 0 && s.inFlight[toComp] >= spec.Depth {
-				return nil, s.shed(toComp, spec.Depth)
+			if spec.Depth > 0 && cs.inFlight >= spec.Depth {
+				return admission{}, s.shed(cs, spec.Depth)
 			}
 		case fault.ShedPolicyBlock:
-			for spec.Depth > 0 && s.inFlight[toComp] >= spec.Depth {
+			for spec.Depth > 0 && cs.inFlight >= spec.Depth {
 				t := s.current()
 				if t == nil {
 					// No thread context to park (tests driving the
@@ -155,38 +164,39 @@ func (s *Supervisor) admit(toComp string, deadline uint64) (func(), error) {
 					break
 				}
 				s.stats.Blocked++
-				s.trace("overload", toComp, "waiting for admission slot")
-				s.waitq(toComp).Wait(t)
+				s.trace("overload", cs.name, "waiting for admission slot")
+				cs.admitQ.Wait(t)
 			}
 		case fault.ShedPolicyDeadline:
 			if deadline != 0 && s.cpu.Cycles() >= deadline {
-				return nil, s.shed(toComp, 0)
+				return admission{}, s.shed(cs, 0)
 			}
-			if spec.Depth > 0 && s.inFlight[toComp] >= spec.Depth {
-				return nil, s.shed(toComp, spec.Depth)
+			if spec.Depth > 0 && cs.inFlight >= spec.Depth {
+				return admission{}, s.shed(cs, spec.Depth)
 			}
 		}
-		s.inFlight[toComp]++
+		cs.inFlight++
+		return admission{cs: cs, counted: true}, nil
 	}
-	return func() {
-		// Runs unconditionally (deferred by SuperviseCall): the slot
-		// frees and a block-policy waiter wakes even when the call
-		// panicked past the trap boundary — otherwise a simulator bug
-		// would masquerade as an admission deadlock, the same shape the
-		// scheduler kill path guards against.
-		if hasSpec {
-			s.inFlight[toComp]--
-			if q := s.admitQ[toComp]; q != nil {
-				q.Signal()
-			}
-		}
-		// A half-open probe that never reported an outcome (the call
-		// unwound without reaching breaker feedback) releases its probe
-		// slot so the breaker cannot wedge half-open forever.
-		if b := s.brk[toComp]; b != nil && b.state == brHalfOpen {
-			b.probing = false
-		}
-	}, nil
+	return admission{cs: cs}, nil
+}
+
+// release ends an admitted call. It runs unconditionally (deferred by
+// supervise): the slot frees and a block-policy waiter wakes even when
+// the call panicked past the trap boundary — otherwise a simulator bug
+// would masquerade as an admission deadlock, the same shape the
+// scheduler kill path guards against.
+func (a admission) release() {
+	if a.counted {
+		a.cs.inFlight--
+		a.cs.admitQ.Signal()
+	}
+	// A half-open probe that never reported an outcome (the call
+	// unwound without reaching breaker feedback) releases its probe
+	// slot so the breaker cannot wedge half-open forever.
+	if b := a.cs.brk; b != nil && b.state == brHalfOpen {
+		b.probing = false
+	}
 }
 
 func (s *Supervisor) current() *sched.Thread {
@@ -196,32 +206,23 @@ func (s *Supervisor) current() *sched.Thread {
 	return s.curThread()
 }
 
-func (s *Supervisor) waitq(comp string) *sched.WaitQueue {
-	q := s.admitQ[comp]
-	if q == nil {
-		q = new(sched.WaitQueue)
-		s.admitQ[comp] = q
-	}
-	return q
-}
-
 // shed rejects one call before the gate: cheap by construction.
 // depth 0 marks a deadline-expiry shed rather than a full queue.
-func (s *Supervisor) shed(toComp string, depth int) error {
+func (s *Supervisor) shed(cs *compState, depth int) error {
 	s.stats.Sheds++
 	s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
 	if depth > 0 {
-		s.trace("shed", toComp, fmt.Sprintf("admission queue full (depth %d)", depth))
+		s.trace("shed", cs.name, fmt.Sprintf("admission queue full (depth %d)", depth))
 	} else {
-		s.trace("shed", toComp, "frame deadline already expired")
+		s.trace("shed", cs.name, "frame deadline already expired")
 	}
-	s.breakerFail(toComp)
+	s.breakerFail(cs)
 	if s.onShed != nil {
-		if err := s.runOnShed(toComp); err != nil {
+		if err := s.runOnShed(cs.name); err != nil {
 			return err
 		}
 	}
-	return &fault.ShedError{Comp: toComp, Depth: depth}
+	return &fault.ShedError{Comp: cs.name, Depth: depth}
 }
 
 // runOnShed invokes the shed observer behind a recover: a panicking
@@ -246,16 +247,16 @@ func (s *Supervisor) runOnShed(comp string) (err error) {
 	return nil
 }
 
-// breakerAdmit gates one crossing on comp's breaker state.
-func (s *Supervisor) breakerAdmit(toComp string) error {
-	spec, ok := s.breakers[toComp]
-	if !ok {
+// breakerAdmit gates one crossing on cs's breaker state.
+func (s *Supervisor) breakerAdmit(cs *compState) error {
+	spec := cs.breaker
+	if spec.Threshold <= 0 {
 		return nil
 	}
-	b := s.brk[toComp]
+	b := cs.brk
 	if b == nil {
 		b = &breakerState{}
-		s.brk[toComp] = b
+		cs.brk = b
 	}
 	if b.state == brOpen && s.cpu.Cycles() >= b.openedAt+spec.Cooldown {
 		// Cooldown elapsed: transition to half-open and let exactly one
@@ -276,17 +277,17 @@ func (s *Supervisor) breakerAdmit(toComp string) error {
 	// even than a shed — one state load, one branch.
 	s.stats.BreakerFastFails++
 	s.cpu.Charge(clock.CompFault, clock.CostBreakerFastFail)
-	return &fault.BreakerOpenError{Comp: toComp}
+	return &fault.BreakerOpenError{Comp: cs.name}
 }
 
-// breakerOK records a successful crossing into comp. A half-open
-// probe's success closes the breaker.
-func (s *Supervisor) breakerOK(toComp string) {
-	spec, ok := s.breakers[toComp]
-	if !ok {
+// breakerOK records a successful crossing into cs. A half-open probe's
+// success closes the breaker.
+func (s *Supervisor) breakerOK(cs *compState) {
+	spec := cs.breaker
+	if spec.Threshold <= 0 {
 		return
 	}
-	b := s.brk[toComp]
+	b := cs.brk
 	if b == nil {
 		return
 	}
@@ -296,24 +297,24 @@ func (s *Supervisor) breakerOK(toComp string) {
 		b.probing = false
 		b.calls, b.fails = 0, 0
 		s.stats.BreakerCloses++
-		s.trace("breaker-close", toComp, "half-open probe succeeded")
+		s.trace("breaker-close", cs.name, "half-open probe succeeded")
 	case brClosed:
 		s.windowTick(b, spec)
 	}
 }
 
-// breakerFail records one failure (shed or trap) against comp. A
+// breakerFail records one failure (shed or trap) against cs. A
 // half-open probe's failure re-opens for another cooldown; enough
 // failures in a closed window open the breaker.
-func (s *Supervisor) breakerFail(toComp string) {
-	spec, ok := s.breakers[toComp]
-	if !ok {
+func (s *Supervisor) breakerFail(cs *compState) {
+	spec := cs.breaker
+	if spec.Threshold <= 0 {
 		return
 	}
-	b := s.brk[toComp]
+	b := cs.brk
 	if b == nil {
 		b = &breakerState{}
-		s.brk[toComp] = b
+		cs.brk = b
 	}
 	switch b.state {
 	case brHalfOpen:
@@ -321,7 +322,7 @@ func (s *Supervisor) breakerFail(toComp string) {
 		b.openedAt = s.cpu.Cycles()
 		b.probing = false
 		s.stats.BreakerOpens++
-		s.trace("breaker-open", toComp, "half-open probe failed")
+		s.trace("breaker-open", cs.name, "half-open probe failed")
 	case brClosed:
 		b.fails++
 		if b.fails >= spec.Threshold {
@@ -329,7 +330,7 @@ func (s *Supervisor) breakerFail(toComp string) {
 			b.openedAt = s.cpu.Cycles()
 			b.calls, b.fails = 0, 0
 			s.stats.BreakerOpens++
-			s.trace("breaker-open", toComp,
+			s.trace("breaker-open", cs.name,
 				fmt.Sprintf("%d failures within window of %d calls", spec.Threshold, spec.Window))
 			return
 		}

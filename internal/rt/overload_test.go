@@ -15,11 +15,11 @@ func TestAdmitShedPolicy(t *testing.T) {
 	s := NewSupervisor(cpu, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
 
-	rel1, err := s.admit("nw", 0)
+	rel1, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := s.admit("nw", 0)
+	rel2, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAdmitShedPolicy(t *testing.T) {
 	}
 
 	before := cpu.Component(clock.CompFault)
-	_, err = s.admit("nw", 0)
+	_, err = s.admit(s.comp("nw"), 0)
 	var se *fault.ShedError
 	if !errors.As(err, &se) || se.Comp != "nw" || se.Depth != 2 {
 		t.Fatalf("third admit: err = %v, want ShedError{nw, 2}", err)
@@ -47,16 +47,16 @@ func TestAdmitShedPolicy(t *testing.T) {
 	}
 
 	// Releasing a slot re-opens admission.
-	rel1()
+	rel1.release()
 	if got := s.InFlight("nw"); got != 1 {
 		t.Fatalf("InFlight after release = %d, want 1", got)
 	}
-	rel3, err := s.admit("nw", 0)
+	rel3, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
-	rel2()
-	rel3()
+	rel2.release()
+	rel3.release()
 	if got := s.InFlight("nw"); got != 0 {
 		t.Fatalf("InFlight after all releases = %d, want 0", got)
 	}
@@ -71,7 +71,7 @@ func TestAdmitDeadlinePolicy(t *testing.T) {
 	// An already-expired frame deadline sheds before the gate; the
 	// Depth field of the error is 0 to mark a deadline shed rather
 	// than a full queue.
-	_, err := s.admit("lc", 50)
+	_, err := s.admit(s.comp("lc"), 50)
 	var se *fault.ShedError
 	if !errors.As(err, &se) || se.Depth != 0 {
 		t.Fatalf("expired deadline: err = %v, want deadline ShedError", err)
@@ -80,25 +80,25 @@ func TestAdmitDeadlinePolicy(t *testing.T) {
 	// A live deadline (and an undeadlined call) is admitted: depth 0
 	// means the deadline policy bounds nothing but staleness. (The
 	// shed above charged CostOverloadShed, so leave headroom.)
-	rel, err := s.admit("lc", 10_000)
+	rel, err := s.admit(s.comp("lc"), 10_000)
 	if err != nil {
 		t.Fatalf("live deadline rejected: %v", err)
 	}
-	rel()
-	rel, err = s.admit("lc", 0)
+	rel.release()
+	rel, err = s.admit(s.comp("lc"), 0)
 	if err != nil {
 		t.Fatalf("undeadlined call rejected: %v", err)
 	}
-	rel()
+	rel.release()
 
 	// With a depth bound the policy also sheds on queue fullness.
 	s.SetOverload("lc", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyDeadline})
-	rel, err = s.admit("lc", 10_000)
+	rel, err = s.admit(s.comp("lc"), 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
-	_, err = s.admit("lc", 10_000)
+	defer rel.release()
+	_, err = s.admit(s.comp("lc"), 10_000)
 	if !errors.As(err, &se) || se.Depth != 1 {
 		t.Fatalf("full deadline queue: err = %v, want ShedError depth 1", err)
 	}
@@ -109,16 +109,16 @@ func TestAdmitBlockPolicyWithoutThread(t *testing.T) {
 	// policy admits rather than wedging a direct caller.
 	s := NewSupervisor(clock.New(), nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyBlock})
-	rel1, err := s.admit("nw", 0)
+	rel1, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := s.admit("nw", 0)
+	rel2, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatalf("block policy without thread context rejected: %v", err)
 	}
-	rel2()
-	rel1()
+	rel2.release()
+	rel1.release()
 	if st := s.Stats(); st.Blocked != 0 {
 		t.Fatalf("Blocked = %d, want 0", st.Blocked)
 	}
@@ -217,18 +217,18 @@ func TestBreakerLifecycle(t *testing.T) {
 	// After the cooldown one half-open probe is admitted; while it is
 	// in flight everything else still fails fast.
 	cpu.Charge(clock.CompApp, spec.Cooldown)
-	rel, err := s.admit("nw", 0)
+	rel, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatalf("half-open probe rejected: %v", err)
 	}
 	if got := s.BreakerState("nw"); got != "half-open" {
 		t.Fatalf("state during probe = %q, want half-open", got)
 	}
-	if _, err := s.admit("nw", 0); !errors.As(err, &be) {
+	if _, err := s.admit(s.comp("nw"), 0); !errors.As(err, &be) {
 		t.Fatalf("second call during probe: err = %v, want BreakerOpenError", err)
 	}
-	s.breakerOK("nw")
-	rel()
+	s.breakerOK(s.comp("nw"))
+	rel.release()
 	if got := s.BreakerState("nw"); got != "closed" {
 		t.Fatalf("state after probe success = %q, want closed", got)
 	}
@@ -283,13 +283,13 @@ func TestShedCallbackPanic(t *testing.T) {
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
 	s.SetOnShed(func(string) { panic("observer bug") })
 
-	rel, err := s.admit("nw", 0)
+	rel, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.release()
 
-	_, err = s.admit("nw", 0)
+	_, err = s.admit(s.comp("nw"), 0)
 	tr, ok := fault.As(err)
 	if !ok {
 		t.Fatalf("err = %v (%T), want a typed trap", err, err)
@@ -315,13 +315,13 @@ func TestShedCallbackTrapPanicPassesThrough(t *testing.T) {
 		panic(&fault.Trap{Kind: fault.KindMPK, PC: "observer:poke", Addr: 0x40})
 	})
 
-	rel, err := s.admit("nw", 0)
+	rel, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.release()
 
-	_, err = s.admit("nw", 0)
+	_, err = s.admit(s.comp("nw"), 0)
 	tr, ok := fault.As(err)
 	if !ok || tr.Kind != fault.KindMPK || tr.PC != "observer:poke" || tr.Comp != "nw" {
 		t.Fatalf("err = %v, want the explicit trap with Comp filled in", err)
@@ -334,13 +334,13 @@ func TestShedCallbackObservesComp(t *testing.T) {
 	var seen []string
 	s.SetOnShed(func(comp string) { seen = append(seen, comp) })
 
-	rel, err := s.admit("nw", 0)
+	rel, err := s.admit(s.comp("nw"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer rel.release()
 
-	_, err = s.admit("nw", 0)
+	_, err = s.admit(s.comp("nw"), 0)
 	var se *fault.ShedError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want ShedError after a clean callback", err)

@@ -63,6 +63,50 @@ type Env struct {
 	// Absent entries (and any image without the directive) mean depth 1,
 	// i.e. no batching.
 	Batching map[string]int
+
+	// routes caches this library's resolved call sites, one per callee
+	// library, in first-call order. A library calls a handful of
+	// others, so a scan comparing names beats hashing one. Lib, Gates
+	// and Sup must not change once the Env has routed a call.
+	routes []route
+}
+
+// route is one resolved call site from an Env: the gate route to the
+// callee library and the supervisor state of its compartment (nil
+// without a supervisor).
+type route struct {
+	to string
+	gr *gate.Route
+	cs *compState
+}
+
+// resolve returns the route to callee library to, resolving it through
+// the registry on the first call (and again if the compartment plan
+// changed since).
+func (e *Env) resolve(to string) (*route, error) {
+	i := 0
+	for ; i < len(e.routes); i++ {
+		if e.routes[i].to == to {
+			if !e.routes[i].gr.Stale() {
+				return &e.routes[i], nil
+			}
+			break
+		}
+	}
+	gr, err := e.Gates.Route(e.Lib, to)
+	if err != nil {
+		return nil, err
+	}
+	r := route{to: to, gr: gr}
+	if e.Sup != nil {
+		r.cs = e.Sup.comp(gr.To.Name)
+	}
+	if i == len(e.routes) {
+		e.routes = append(e.routes, r)
+	} else {
+		e.routes[i] = r
+	}
+	return &e.routes[i], nil
 }
 
 // Charge attributes cycles to this library.
@@ -86,22 +130,25 @@ func (e *Env) CallFrame(to, fnName string, frame gate.CallFrame, fn func() error
 	return e.route(to, fnName, frame, fn)
 }
 
-// route dispatches through the gate registry, under the machine's
-// fault supervisor when one is attached: the supervisor applies the
-// callee compartment's admission policy before the gate and its fault
-// policy to any trap the call raises. The frame inherits the current
-// thread's deadline, so nested calls stay under the original budget.
+// route dispatches through the callee's resolved gate route, under
+// the machine's fault supervisor when one is attached: the supervisor
+// applies the callee compartment's admission policy before the gate
+// and its fault policy to any trap the call raises. The frame inherits
+// the current thread's deadline, so nested calls stay under the
+// original budget.
 func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) error {
+	r, err := e.resolve(to)
+	if err != nil {
+		return err
+	}
 	if frame.Deadline == 0 {
 		frame.Deadline = e.currentDeadline()
 	}
-	if e.Sup == nil {
-		return e.Gates.CallWithFrame(e.Lib, to, fnName, frame, fn)
+	if r.cs == nil {
+		return r.gr.Call(fnName, frame, fn)
 	}
-	toComp, _ := e.Gates.CompartmentOf(to)
-	fromComp, _ := e.Gates.CompartmentOf(e.Lib)
-	return e.Sup.SuperviseCall(toComp, frame.Deadline, fromComp != toComp, func() error {
-		return e.Gates.CallWithFrame(e.Lib, to, fnName, frame, fn)
+	return e.Sup.supervise(r.cs, frame.Deadline, r.gr.Crossing, func() error {
+		return r.gr.Call(fnName, frame, fn)
 	})
 }
 
@@ -146,25 +193,31 @@ func (e *Env) CallBatch(to, fnName string, calls []BatchCall) []error {
 		}
 		frames[i], fns[i], deadlines[i] = c.Frame, c.Fn, c.Frame.Deadline
 	}
-	if e.Sup == nil {
-		return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns)
+	r, err := e.resolve(to)
+	if err != nil {
+		errs := make([]error, len(calls))
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
 	}
-	toComp, _ := e.Gates.CompartmentOf(to)
-	fromComp, _ := e.Gates.CompartmentOf(e.Lib)
-	return e.Sup.SuperviseBatch(toComp, deadlines, fromComp != toComp,
+	if r.cs == nil {
+		return r.gr.CallBatch(fnName, frames, fns)
+	}
+	return e.Sup.superviseBatch(r.cs, deadlines, r.gr.Crossing,
 		func(admitted []int) []error {
 			if len(admitted) == len(frames) {
-				return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns)
+				return r.gr.CallBatch(fnName, frames, fns)
 			}
 			subFrames := make([]gate.CallFrame, len(admitted))
 			subFns := make([]func() error, len(admitted))
 			for j, i := range admitted {
 				subFrames[j], subFns[j] = frames[i], fns[i]
 			}
-			return e.Gates.CallBatch(e.Lib, to, fnName, subFrames, subFns)
+			return r.gr.CallBatch(fnName, subFrames, subFns)
 		},
 		func(i int) error {
-			return e.Gates.CallWithFrame(e.Lib, to, fnName, frames[i], fns[i])
+			return r.gr.Call(fnName, frames[i], fns[i])
 		})
 }
 
@@ -211,6 +264,9 @@ func (e *Env) WithDeadline(t *sched.Thread, deadline uint64, fn func() error) er
 // scalar ABI: attaching buffers to a copy-policy gate charges the full
 // payload at the crossing.
 func (e *Env) SharesBufs(to string) bool {
+	if r, err := e.resolve(to); err == nil {
+		return r.gr.SharesByReference()
+	}
 	return e.Gates.SharesByReference(e.Lib, to)
 }
 

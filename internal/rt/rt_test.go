@@ -1,10 +1,12 @@
 package rt
 
 import (
+	"errors"
 	"testing"
 
 	"flexos/internal/clock"
 	"flexos/internal/core/gate"
+	"flexos/internal/fault"
 	"flexos/internal/mem"
 )
 
@@ -99,5 +101,51 @@ func TestBytesBoundsChecked(t *testing.T) {
 	b, err := env.Bytes(p, 16)
 	if err != nil || len(b) != 16 {
 		t.Fatalf("Bytes = %v, %v", len(b), err)
+	}
+}
+
+// TestRouteFollowsLaterChanges pins that a resolved route is no stale
+// snapshot: hooks, supervisor settings and plan changes made after an
+// Env's first routed call take effect on its next call.
+func TestRouteFollowsLaterChanges(t *testing.T) {
+	env, reg, cpu := newEnv(t, true, true)
+	env.Sup = NewSupervisor(cpu, nil)
+	nop := func() error { return nil }
+	if err := env.CallFn("alloc", "malloc", 1, nop); err != nil {
+		t.Fatal(err)
+	}
+
+	// A hook installed after the route was resolved sees the next call.
+	var seen []string
+	reg.SetObserver(func(from, to, fn string) { seen = append(seen, from+"->"+to+":"+fn) })
+	if err := env.CallFn("alloc", "malloc", 1, nop); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[0] != "netstack->alloc:malloc" {
+		t.Fatalf("observer saw %v", seen)
+	}
+
+	// So does a supervisor setting: degrade c1 on its first trap.
+	env.Sup.SetPolicy("c1", fault.PolicyDegrade)
+	trap := func() error { return &fault.Trap{Comp: "c1", Kind: fault.KindMPK} }
+	if err := env.CallFn("alloc", "malloc", 1, trap); err == nil {
+		t.Fatal("trap not reported")
+	}
+	var de *fault.DegradedError
+	if err := env.CallFn("alloc", "malloc", 1, nop); !errors.As(err, &de) {
+		t.Fatalf("call into degraded c1: err = %v, want DegradedError", err)
+	}
+
+	// A plan change re-resolves the route: alloc moves into the
+	// caller's compartment, so the next call no longer crosses.
+	before := reg.TotalCrossings()
+	if err := reg.Assign("alloc", "c0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.CallFn("alloc", "malloc", 1, nop); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.TotalCrossings(); got != before {
+		t.Fatalf("crossings %d -> %d after alloc moved into c0", before, got)
 	}
 }

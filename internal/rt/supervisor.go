@@ -58,52 +58,65 @@ type SupervisorStats struct {
 // trapped call's in-flight buffers are force-released against a
 // pre-call mark — and resets the compartment's drained private heaps.
 type Supervisor struct {
-	cpu      clock.Clock
-	pool     *mem.SharedPool
-	policies map[string]fault.Policy
-	heaps    map[string][]*mem.Heap
-	degraded map[string]*fault.Trap
-	stats    SupervisorStats
-	tracer   func(kind, comp, note string)
+	cpu    clock.Clock
+	pool   *mem.SharedPool
+	comps  map[string]*compState
+	stats  SupervisorStats
+	tracer func(kind, comp, note string)
 
-	// Overload-control state (overload.go): per-compartment admission
-	// queues and circuit breakers in front of the gates.
-	overload  map[string]OverloadSpec
-	inFlight  map[string]int
-	admitQ    map[string]*sched.WaitQueue
-	breakers  map[string]BreakerSpec
-	brk       map[string]*breakerState
 	curThread func() *sched.Thread
 	onShed    func(comp string)
+}
+
+// compState is everything the supervisor keeps for one compartment.
+// An Env's route into a compartment points at its compState, so a
+// routed call reaches the policy, the admission queue and the breaker
+// without a lookup by name.
+type compState struct {
+	name     string
+	policy   fault.Policy
+	heaps    []*mem.Heap
+	degraded *fault.Trap // non-nil once PolicyDegrade took it out of service
+
+	// Overload control (overload.go): the admission queue in front of
+	// the compartment's gate and its circuit breaker.
+	overload    OverloadSpec
+	hasOverload bool
+	inFlight    int
+	admitQ      sched.WaitQueue
+	breaker     BreakerSpec // Threshold > 0 when configured
+	brk         *breakerState
 }
 
 // NewSupervisor creates a supervisor charging recovery work to cpu.
 // pool may be nil (poolless images skip buffer teardown).
 func NewSupervisor(cpu clock.Clock, pool *mem.SharedPool) *Supervisor {
-	return &Supervisor{
-		cpu:      cpu,
-		pool:     pool,
-		policies: make(map[string]fault.Policy),
-		heaps:    make(map[string][]*mem.Heap),
-		degraded: make(map[string]*fault.Trap),
-		overload: make(map[string]OverloadSpec),
-		inFlight: make(map[string]int),
-		admitQ:   make(map[string]*sched.WaitQueue),
-		breakers: make(map[string]BreakerSpec),
-		brk:      make(map[string]*breakerState),
+	return &Supervisor{cpu: cpu, pool: pool, comps: make(map[string]*compState)}
+}
+
+// comp returns compartment name's state, creating it on first use. The
+// pointer is stable, so routes may hold it and setters called later
+// still reach them.
+func (s *Supervisor) comp(name string) *compState {
+	cs := s.comps[name]
+	if cs == nil {
+		cs = &compState{name: name}
+		s.comps[name] = cs
 	}
+	return cs
 }
 
 // SetPolicy configures a compartment's reaction to its own traps.
-func (s *Supervisor) SetPolicy(comp string, p fault.Policy) { s.policies[comp] = p }
+func (s *Supervisor) SetPolicy(comp string, p fault.Policy) { s.comp(comp).policy = p }
 
 // Policy reports a compartment's policy (PolicyAbort by default).
-func (s *Supervisor) Policy(comp string) fault.Policy { return s.policies[comp] }
+func (s *Supervisor) Policy(comp string) fault.Policy { return s.comp(comp).policy }
 
 // RegisterHeap records a private heap owned exclusively by comp, a
 // restart-teardown target.
 func (s *Supervisor) RegisterHeap(comp string, h *mem.Heap) {
-	s.heaps[comp] = append(s.heaps[comp], h)
+	cs := s.comp(comp)
+	cs.heaps = append(cs.heaps, h)
 }
 
 // SetTracer installs a callback for fault lifecycle events; kinds are
@@ -115,8 +128,8 @@ func (s *Supervisor) SetTracer(fn func(kind, comp, note string)) { s.tracer = fn
 // Degraded reports whether comp was taken out of service, and the trap
 // that did it.
 func (s *Supervisor) Degraded(comp string) (*fault.Trap, bool) {
-	t, ok := s.degraded[comp]
-	return t, ok
+	t := s.comp(comp).degraded
+	return t, t != nil
 }
 
 // Stats returns a copy of the containment counters.
@@ -149,21 +162,27 @@ func (s *Supervisor) Supervise(toComp string, call func() error) error {
 // (crossing=false) skip them — a compartment cannot shed calls from
 // itself — while the fault-policy machinery still applies.
 func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool, call func() error) error {
-	if t, down := s.degraded[toComp]; down {
-		return &fault.DegradedError{Comp: toComp, Cause: t}
+	return s.supervise(s.comp(toComp), deadline, crossing, call)
+}
+
+// supervise is SuperviseCall on a resolved compartment: the routed
+// path Env calls, and the one SuperviseCall wraps.
+func (s *Supervisor) supervise(cs *compState, deadline uint64, crossing bool, call func() error) error {
+	if cs.degraded != nil {
+		return &fault.DegradedError{Comp: cs.name, Cause: cs.degraded}
 	}
 	if crossing {
-		release, err := s.admit(toComp, deadline)
+		a, err := s.admit(cs, deadline)
 		if err != nil {
 			return err
 		}
 		// The slot must free (and block-policy waiters wake) even if
 		// the supervised call panics past the trap boundary — a leaked
 		// slot would turn a simulator bug into a fake deadlock.
-		defer release()
+		defer a.release()
 	}
 	mark := s.mark()
-	return s.settle(toComp, crossing, mark, call(), call)
+	return s.settle(cs, crossing, mark, call(), call)
 }
 
 // settle classifies one supervised call's outcome and applies toComp's
@@ -174,11 +193,12 @@ func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool
 // here, and SuperviseBatch settles each frame of a batch — which is
 // what makes containment per-frame: one trapped frame reaches its own
 // settle with its own retry, the rest of the batch settles clean.
-func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err error, retry func() error) error {
+func (s *Supervisor) settle(cs *compState, crossing bool, mark mem.PoolMark, err error, retry func() error) error {
+	toComp := cs.name
 	t, ok := fault.As(err)
 	if !ok || t.Comp != toComp {
 		if crossing {
-			s.breakerOK(toComp)
+			s.breakerOK(cs)
 		}
 		return err
 	}
@@ -192,7 +212,7 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 		s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
 		s.trace("deadline", toComp, t.Error())
 		if crossing {
-			s.breakerFail(toComp)
+			s.breakerFail(cs)
 		}
 		return t
 	}
@@ -200,13 +220,13 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 	s.cpu.Charge(clock.CompFault, clock.CostFaultTrap)
 	s.trace("fault", toComp, t.Error())
 	if crossing {
-		s.breakerFail(toComp)
+		s.breakerFail(cs)
 	}
-	switch s.Policy(toComp) {
+	switch cs.policy {
 	case fault.PolicyRestart:
 		for attempt := 1; attempt <= maxRestartAttempts; attempt++ {
 			start := s.cpu.Cycles()
-			s.teardown(toComp, mark)
+			s.teardown(cs, mark)
 			// Bounded exponential backoff before the replay.
 			s.cpu.Charge(clock.CompFault, clock.CostFaultBackoff<<(attempt-1))
 			s.stats.RecoveryCycles += s.cpu.Cycles() - start
@@ -216,7 +236,7 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 			err = retry()
 			if t2, again := fault.As(err); again && t2.Comp == toComp {
 				if crossing {
-					s.breakerFail(toComp)
+					s.breakerFail(cs)
 				}
 				if t2.Kind == fault.KindDeadline {
 					// The replay ran out of budget: stop retrying.
@@ -233,15 +253,15 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 			}
 			s.stats.Recoveries++
 			if crossing {
-				s.breakerOK(toComp)
+				s.breakerOK(cs)
 			}
 			return err
 		}
 		s.stats.Aborts++
 		return t
 	case fault.PolicyDegrade:
-		s.teardown(toComp, mark)
-		s.degraded[toComp] = t
+		s.teardown(cs, mark)
+		cs.degraded = t
 		s.stats.Degrades++
 		s.trace("degrade", toComp, t.Kind.String())
 		return &fault.DegradedError{Comp: toComp, Cause: t}
@@ -264,23 +284,29 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 // individually, so one trapped frame aborts or restarts alone.
 func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing bool,
 	runBatch func(admitted []int) []error, retry func(i int) error) []error {
+	return s.superviseBatch(s.comp(toComp), deadlines, crossing, runBatch, retry)
+}
+
+// superviseBatch is SuperviseBatch on a resolved compartment.
+func (s *Supervisor) superviseBatch(cs *compState, deadlines []uint64, crossing bool,
+	runBatch func(admitted []int) []error, retry func(i int) error) []error {
 	errs := make([]error, len(deadlines))
-	if t, down := s.degraded[toComp]; down {
+	if cs.degraded != nil {
 		for i := range errs {
-			errs[i] = &fault.DegradedError{Comp: toComp, Cause: t}
+			errs[i] = &fault.DegradedError{Comp: cs.name, Cause: cs.degraded}
 		}
 		return errs
 	}
 	admitted := make([]int, 0, len(deadlines))
-	var releases []func()
+	var held []admission
 	if crossing {
 		for i, dl := range deadlines {
-			release, err := s.admit(toComp, dl)
+			a, err := s.admit(cs, dl)
 			if err != nil {
 				errs[i] = err
 				continue
 			}
-			releases = append(releases, release)
+			held = append(held, a)
 			admitted = append(admitted, i)
 		}
 	} else {
@@ -289,11 +315,11 @@ func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing 
 		}
 	}
 	// Slots release (and block-policy waiters wake) even if a frame
-	// panics past its trap boundary, for the same reason SuperviseCall
+	// panics past its trap boundary, for the same reason supervise
 	// defers its release.
 	defer func() {
-		for _, release := range releases {
-			release()
+		for _, a := range held {
+			a.release()
 		}
 	}()
 	if len(admitted) == 0 {
@@ -310,7 +336,7 @@ func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing 
 		// ran: teardown of one trapped frame must never reclaim buffers
 		// that surviving frames of the same batch handed to their
 		// callers.
-		errs[i] = s.settle(toComp, crossing, s.mark(), err,
+		errs[i] = s.settle(cs, crossing, s.mark(), err,
 			func() error { return retry(frame) })
 	}
 	return errs
@@ -322,14 +348,14 @@ func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing 
 // fully-drained private heap of the compartment is reset to pristine.
 // Heaps with live allocations that predate the fault are left intact —
 // they back protocol state the surviving callers still reference.
-func (s *Supervisor) teardown(comp string, mark mem.PoolMark) {
+func (s *Supervisor) teardown(cs *compState, mark mem.PoolMark) {
 	if s.pool != nil {
 		bufs, refs := s.pool.ReleaseSince(mark)
 		s.stats.ReclaimedBufs += uint64(bufs)
 		s.stats.ReclaimedRefs += uint64(refs)
 		s.cpu.Charge(clock.CompFault, uint64(bufs)*clock.CostFaultReclaimBuf)
 	}
-	for _, h := range s.heaps[comp] {
+	for _, h := range cs.heaps {
 		// The sweep walks the compartment's whole heap region.
 		s.cpu.Charge(clock.CompFault, clock.FaultSweepCycles(h.Size()))
 		if h.Stats().LiveBytes == 0 {

@@ -356,24 +356,35 @@ func (s *coop) pick() *Thread {
 // earliest-enqueued runnable head — which, on machines of one vCPU, is
 // exactly a global FIFO.
 func (s *coop) chooseQueue() *cpuRun {
+	// A time domain is a machine, or a standalone CPU on its own. Runs
+	// hold a few (a server and a client machine), so the domains live
+	// in a small array in first-seen order; a linear search finds one.
 	type domain struct {
-		best *cpuRun // min (cycles, id) runnable vCPU of the domain
-		seq  uint64  // earliest head enqueue stamp in the domain
+		mach *clock.Machine // nil for a standalone CPU's own domain
+		best *cpuRun        // min (cycles, id) runnable vCPU of the domain
+		seq  uint64         // earliest head enqueue stamp in the domain
 	}
-	doms := make(map[interface{}]*domain)
-	var order []interface{} // deterministic iteration
+	var buf [4]domain
+	doms := buf[:0]
 	for _, rq := range s.runqs {
 		if len(rq.q) == 0 {
 			continue
 		}
-		var key interface{} = rq // standalone CPU (or nil): its own domain
-		if rq.cpu != nil && rq.cpu.Machine() != nil {
-			key = rq.cpu.Machine()
+		var mach *clock.Machine
+		if rq.cpu != nil {
+			mach = rq.cpu.Machine()
 		}
-		d, ok := doms[key]
-		if !ok {
-			doms[key] = &domain{best: rq, seq: rq.q[0].seq}
-			order = append(order, key)
+		var d *domain
+		if mach != nil {
+			for i := range doms {
+				if doms[i].mach == mach {
+					d = &doms[i]
+					break
+				}
+			}
+		}
+		if d == nil {
+			doms = append(doms, domain{mach: mach, best: rq, seq: rq.q[0].seq})
 			continue
 		}
 		if less(rq.cpu, d.best.cpu) {
@@ -384,10 +395,9 @@ func (s *coop) chooseQueue() *cpuRun {
 		}
 	}
 	var chosen *domain
-	for _, key := range order {
-		d := doms[key]
-		if chosen == nil || d.seq < chosen.seq {
-			chosen = d
+	for i := range doms {
+		if chosen == nil || doms[i].seq < chosen.seq {
+			chosen = &doms[i]
 		}
 	}
 	if chosen == nil {
